@@ -26,7 +26,7 @@
 //! drain microbench (events popped per second through a pre-sized
 //! [`netsim::des::EventQueue`]).
 //!
-//! Finally it times the backend-routed DES allreduce (serial heap vs the
+//! Finally it times the backend-routed DES allreduce (serial queue vs the
 //! sharded conservative-lookahead engine at 2 and 4 shards) at 1k/16k/131k
 //! simulated nodes, writing events/sec and engine statistics to
 //! `BENCH_des.json` (or the path given as the third argument).
@@ -247,7 +247,7 @@ fn bench_repro(path: &str) {
     println!("{json}");
 }
 
-/// Time the backend-routed DES allreduce (serial heap vs the sharded
+/// Time the backend-routed DES allreduce (serial queue vs the sharded
 /// conservative-lookahead engine at 2 and 4 shards) at several simulated
 /// node scales, and write the results as JSON to `path`. Simulated times,
 /// event counts and window counts are backend-invariant (the engine's

@@ -18,7 +18,7 @@
 //!    the R1 schedule).
 //! 4. **Engine opacity.** DES-engine internals must not leak into app
 //!    attribution: analysing a DES-validated allreduce recorded on the
-//!    serial heap and on the sharded engine at 2 and 4 shards must yield
+//!    serial queue and on the sharded engine at 2 and 4 shards must yield
 //!    byte-identical analysis documents.
 
 use std::sync::Arc;

@@ -6,11 +6,11 @@
 //! 1. **Bit-identity.** For every cell of the differential sweep (all four
 //!    topology families × three placements × five message sizes), the
 //!    backend-routed [`simmpi::desval::allreduce_des`] must produce the
-//!    same `f64`, bit for bit, on the serial heap and on the sharded
+//!    same `f64`, bit for bit, on the serial queue and on the sharded
 //!    engine at 2 and 4 shards — and the shard-invariant run statistics
 //!    (event and window counts) must match exactly. This is the engine's
 //!    determinism guarantee: conservative-lookahead windows process each
-//!    entity's events in the same `(time, seq)` order as the serial heap.
+//!    entity's events in the same `(time, seq)` order as the serial queue.
 //! 2. **Fidelity at scale.** At 1024 and 4096 simulated nodes — beyond
 //!    what the differential suite sweeps — the event-driven model must
 //!    stay within a small factor of the closed-form analytic model, in

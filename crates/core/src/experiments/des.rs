@@ -11,7 +11,7 @@
 //! The engine backend comes from [`netsim::shard::default_backend`] — set
 //! by `repro --des-backend` or `A64FX_DES_BACKEND` — and every column is
 //! **backend-invariant**: the sharded engine's conservative-lookahead
-//! windows process events in the same per-entity order as the serial heap,
+//! windows process events in the same per-entity order as the serial queue,
 //! so times, event counts and window counts are identical to the bit at
 //! any shard count. CI pins this by byte-diffing `repro --exp-json d1`
 //! across serial and forced 2/4-shard runs.

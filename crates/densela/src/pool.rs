@@ -6,7 +6,9 @@
 //! cycles per iteration — at realistic sizes the spawn overhead swamped the
 //! parallel speedup. [`KernelPool`] spawns its workers once: each dispatch
 //! is a generation-counted job publication (one mutex + condvar broadcast),
-//! the caller itself executes lane 0, and completion is a counted join. A
+//! the caller itself executes lane 0, and completion is a counted join.
+//! Concurrent callers sharing one pool are serialised by a dispatch lock, so
+//! each multi-lane job runs to completion before the next is published. A
 //! CG solve on top of it spawns threads exactly once, like a persistent
 //! OpenMP team pinned for the lifetime of a rank.
 //!
@@ -42,6 +44,9 @@ struct PoolState {
 }
 
 struct Shared {
+    /// Held by a multi-lane `run` from publication to join: there is one job
+    /// slot, so a second caller must wait rather than overwrite it.
+    dispatch: Mutex<()>,
     state: Mutex<PoolState>,
     /// Workers wait here for a new generation.
     work_cv: Condvar,
@@ -77,6 +82,7 @@ impl KernelPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a kernel pool needs at least one lane");
         let shared = Arc::new(Shared {
+            dispatch: Mutex::new(()),
             state: Mutex::new(PoolState {
                 generation: 0,
                 job: None,
@@ -128,7 +134,9 @@ impl KernelPool {
     /// calling thread. Returns after all lanes finished.
     ///
     /// `f` must treat `lane` as its identity and touch disjoint data per
-    /// lane; the pool imposes no other structure.
+    /// lane; the pool imposes no other structure. Calls from several threads
+    /// on one multi-lane pool run one after another; `f` must not dispatch
+    /// on the same pool, which would wait on itself.
     ///
     /// # Panics
     /// Re-raises (as a fresh panic) if any lane's closure panicked.
@@ -144,10 +152,17 @@ impl KernelPool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&f)
                 as *const _
         });
+        // The lock guards no data, only the job slot's turn, so a poisoned
+        // one is as good as a clean one.
+        let dispatch = self
+            .shared
+            .dispatch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let generation;
         {
             let mut st = self.shared.state.lock().unwrap();
-            debug_assert_eq!(st.remaining, 0, "dispatch while a job is still running");
+            assert_eq!(st.remaining, 0, "dispatch while a job is still running");
             st.job = Some(job);
             st.generation += 1;
             generation = st.generation;
@@ -162,6 +177,7 @@ impl KernelPool {
         st.job = None;
         let worker_panicked = std::mem::replace(&mut st.panicked, false);
         drop(st);
+        drop(dispatch);
         if obs::enabled() {
             // The pool has no simulated clock; spans live on a logical
             // timeline where each dispatch generation occupies one unit.
@@ -420,6 +436,38 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn concurrent_callers_on_one_pool_each_get_every_lane_once() {
+        const CALLERS: usize = 8;
+        const CALLS: usize = 400;
+        let pool = KernelPool::new(2);
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            for caller in 0..CALLERS {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for call in 0..CALLS {
+                        let hits = [AtomicUsize::new(0), AtomicUsize::new(0)];
+                        let tag = caller * CALLS + call;
+                        let seen = AtomicUsize::new(usize::MAX);
+                        pool.run(|lane| {
+                            hits[lane].fetch_add(1, Ordering::Relaxed);
+                            if lane == 1 {
+                                seen.store(tag, Ordering::Relaxed);
+                            }
+                        });
+                        for (lane, h) in hits.iter().enumerate() {
+                            assert_eq!(h.load(Ordering::Relaxed), 1, "caller {caller} lane {lane}");
+                        }
+                        assert_eq!(seen.load(Ordering::Relaxed), tag, "worker ran another job");
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.dispatches(), (CALLERS * CALLS) as u64);
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! A small deterministic discrete-event simulation engine.
 //!
 //! Events carry a timestamp in microseconds of virtual time and a payload.
-//! Ties are broken by insertion sequence number, so a simulation that pushes
-//! events in a deterministic order replays identically — a property the
+//! Ties are broken by sequence number, so a simulation that pushes events
+//! in a deterministic order replays identically — a property the
 //! integration tests assert.
+//!
+//! Network simulations schedule many events at few distinct times (one per
+//! combination of link latency and payload), so [`EventQueue`] buckets
+//! events by exact time instead of heap-ordering every event: a min-heap of
+//! the distinct later times, a hash map from each to its bucket of events
+//! (filled unsorted), and a head bucket holding the earliest time's events
+//! sorted by seq. Pops come off the head in order; a bucket is sorted once,
+//! when it becomes the head.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A timestamped event with payload `T`.
 #[derive(Debug, Clone)]
@@ -34,8 +43,9 @@ impl<T> PartialOrd for Event<T> {
 
 impl<T> Ord for Event<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // NaN times are rejected at push, so partial_cmp is total here.
+        // Reversed (time, seq): a `BinaryHeap<Event>` pops the earliest
+        // event first, the order [`EventQueue`] pops in. NaN times are
+        // rejected at push, so partial_cmp is total here.
         other
             .time_us
             .partial_cmp(&self.time_us)
@@ -44,10 +54,38 @@ impl<T> Ord for Event<T> {
     }
 }
 
+/// Bucket key of an event time. Scheduled times are finite and not
+/// negative, and on such floats the order of the bit patterns is numeric
+/// order; `+ 0.0` folds `-0.0` into `0.0`, the one pair of equal times
+/// with different bits.
+fn time_key(time_us: f64) -> u64 {
+    (time_us + 0.0).to_bits()
+}
+
 /// A priority queue of events ordered by (time, sequence).
+///
+/// Scheduling at a time already pending costs one hash lookup; at a new
+/// time it also pushes the time onto the key heap, O(log k) for `k`
+/// distinct pending times; at the head's time it is a binary-search insert
+/// into the head bucket. A pop is O(1) plus, when the head bucket empties,
+/// one key-heap pop and one sort of the next bucket by seq: O(log m) per
+/// event for `m` events per time. The worst case, every time distinct,
+/// gives every event its own bucket, key-heap entry and map entry: the
+/// same O(log n) per event as a binary heap of events, at a larger
+/// constant (DESIGN.md §9 has measurements).
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Event<T>>,
+    /// Events at the earliest pending time, ascending by seq. Empty exactly
+    /// when the queue is.
+    head: VecDeque<Event<T>>,
+    /// [`time_key`] of the head bucket's time.
+    head_key: u64,
+    /// Keys of every later pending time, earliest on top.
+    keys: BinaryHeap<Reverse<u64>>,
+    /// Events at every later pending time, unsorted within a bucket.
+    later: HashMap<u64, Vec<Event<T>>>,
+    /// Emptied buckets, kept for their allocations.
+    spare: Vec<Vec<Event<T>>>,
     next_seq: u64,
     now_us: f64,
     scheduled_total: u64,
@@ -66,13 +104,17 @@ impl<T> EventQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// Create an empty queue at virtual time zero with heap space for
-    /// `capacity` pending events. Simulations that know their peak queue
-    /// depth (e.g. one in-flight event per rank) pre-size the heap so
-    /// steady-state scheduling never reallocates.
+    /// Create an empty queue at virtual time zero whose first time bucket
+    /// has room for `capacity` events. Simulations that open with one root
+    /// event per entity at a single time (e.g. every rank starting at zero)
+    /// pre-size it so filling the queue never reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
+            head: VecDeque::with_capacity(capacity),
+            head_key: 0,
+            keys: BinaryHeap::new(),
+            later: HashMap::new(),
+            spare: Vec::new(),
             next_seq: 0,
             now_us: 0.0,
             scheduled_total: 0,
@@ -91,7 +133,7 @@ impl<T> EventQueue<T> {
     /// `time_us` must be a finite float no earlier than [`Self::now_us`].
     /// Non-finite times (NaN, `+inf`, `-inf` — the latter is the non-finite
     /// *negative-time* case) are rejected uniformly rather than being left
-    /// to scramble the heap's ordering or hang a drain loop, and past times
+    /// to scramble the queue's ordering or hang a drain loop, and past times
     /// are a causality violation: virtual time only moves forward.
     ///
     /// # Panics
@@ -126,14 +168,41 @@ impl<T> EventQueue<T> {
             self.now_us
         );
         self.scheduled_total += 1;
-        self.heap.push(Event {
+        let ev = Event {
             time_us,
             seq,
             payload,
-        });
+        };
+        let key = time_key(time_us);
+        if self.head.is_empty() {
+            self.head_key = key;
+            self.head.push_back(ev);
+        } else if key == self.head_key {
+            // An event at the head's time: usually the largest seq yet, so
+            // the insert lands at the back.
+            let at = self.head.partition_point(|e| e.seq < seq);
+            self.head.insert(at, ev);
+        } else if key < self.head_key {
+            // A new earliest time: park the head bucket, still sorted, and
+            // open a new head.
+            let fresh = VecDeque::from(self.spare.pop().unwrap_or_default());
+            let parked = std::mem::replace(&mut self.head, fresh);
+            self.keys.push(Reverse(self.head_key));
+            self.later.insert(self.head_key, Vec::from(parked));
+            self.head_key = key;
+            self.head.push_back(ev);
+        } else {
+            match self.later.entry(key) {
+                Entry::Occupied(bucket) => bucket.into_mut().push(ev),
+                Entry::Vacant(slot) => {
+                    self.keys.push(Reverse(key));
+                    slot.insert(self.spare.pop().unwrap_or_default()).push(ev);
+                }
+            }
+        }
         if obs::enabled() {
             obs::add("des.events.scheduled", 1);
-            obs::gauge_max("des.queue.peak_depth", self.heap.len() as f64);
+            obs::gauge_max("des.queue.peak_depth", self.len() as f64);
         }
     }
 
@@ -159,12 +228,21 @@ impl<T> EventQueue<T> {
     /// the conservative-lookahead loop uses this to compute each window's
     /// horizon before deciding whether the head event is safe to process.
     pub fn peek_time_us(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time_us)
+        self.head.front().map(|e| e.time_us)
     }
 
     /// Pop the earliest event, advancing virtual time to its timestamp.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let ev = self.heap.pop()?;
+        let ev = self.head.pop_front()?;
+        if self.head.is_empty() {
+            if let Some(Reverse(key)) = self.keys.pop() {
+                let mut bucket = self.later.remove(&key).expect("every key has a bucket");
+                bucket.sort_unstable_by_key(|e| e.seq);
+                let emptied = std::mem::replace(&mut self.head, VecDeque::from(bucket));
+                self.spare.push(Vec::from(emptied));
+                self.head_key = key;
+            }
+        }
         self.now_us = ev.time_us;
         self.popped_total += 1;
         if obs::enabled() {
@@ -186,12 +264,12 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        (self.scheduled_total - self.popped_total) as usize
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.head.is_empty()
     }
 }
 
@@ -370,8 +448,64 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
+
+    /// Few distinct times, so most events tie; both signs of zero.
+    const TIMES: [f64; 7] = [-0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 3.0];
+
+    fn bits(e: &Event<u32>) -> (u64, u64, u32) {
+        (e.time_us.to_bits(), e.seq, e.payload)
+    }
 
     proptest! {
+        #[test]
+        fn pop_order_matches_a_binary_heap_reference(
+            ops in proptest::collection::vec((0usize..4, 0usize..TIMES.len(), 0.0f64..2.0), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let mut next_seq = 0;
+            for (i, &(op, ti, shift)) in ops.iter().enumerate() {
+                // Half the events sit on TIMES, the rest a whole number
+                // later; a time below `now` is scheduled at exactly `now`.
+                let now = q.now_us();
+                let t = if shift < 1.0 { TIMES[ti] } else { TIMES[ti] + (shift * 4.0).floor() };
+                let t = if t < now { now } else { t };
+                let payload = i as u32;
+                match op {
+                    0 => {
+                        q.schedule_at(t, payload);
+                        reference.push(Event { time_us: t, seq: next_seq, payload });
+                        next_seq += 1;
+                    }
+                    1 => {
+                        // Explicit seqs out of insertion order, disjoint
+                        // from the counter's range.
+                        let seq = (1 << 62) | ((i as u64).wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
+                        q.schedule_with_seq(t, seq, payload);
+                        reference.push(Event { time_us: t, seq, payload });
+                    }
+                    _ => {
+                        prop_assert_eq!(
+                            q.peek_time_us().map(f64::to_bits),
+                            reference.peek().map(|e| e.time_us.to_bits())
+                        );
+                        let got = q.pop();
+                        let want = reference.pop();
+                        prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+            }
+            while let Some(want) = reference.pop() {
+                let got = q.pop().expect("queue drains with the reference");
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(q.now_us().to_bits(), want.time_us.to_bits());
+            }
+            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.popped_total(), q.scheduled_total());
+        }
+
         #[test]
         fn pops_are_globally_time_ordered(times in proptest::collection::vec(0.0f64..1e6, 1..200)) {
             let mut q = EventQueue::new();

@@ -35,7 +35,7 @@
 //! interleaving) by construction, not by luck:
 //!
 //! * each entity is owned by exactly one shard, and its events are popped
-//!   from that shard's heap in `(time, seq)` order — the same per-entity
+//!   from that shard's queue in `(time, seq)` order — the same per-entity
 //!   order the serial engine produces;
 //! * root events take sequence numbers from one central counter in
 //!   schedule order; handler-emitted events take sequence numbers derived
@@ -44,7 +44,7 @@
 //!   are independent of the shard count and of worker timing;
 //! * cross-shard messages travel through per-pair outboxes that the
 //!   coordinator drains between windows in `(source shard, destination
-//!   shard, time, seq)` order; since a destination heap re-sorts by
+//!   shard, time, seq)` order; since a destination queue re-sorts by
 //!   `(time, seq)` anyway, delivery order cannot leak scheduling noise.
 //!
 //! The conform `des` suite pins serial-vs-sharded bit-identity on every
@@ -544,7 +544,7 @@ impl<T: Send> ShardedEventQueue<T> {
                 }
             }
             // Window barrier: the coordinator drains every per-pair
-            // mailbox in (src, dst, time, seq) order. Destination heaps
+            // mailbox in (src, dst, time, seq) order. Destination queues
             // re-sort by (time, seq), so this order is a determinism
             // statement, not a correctness requirement — and delivery can
             // never violate causality because every parked message lands

@@ -55,9 +55,7 @@ pub fn allreduce_recursive_doubling_des(
     }
     let rounds = usize::BITS - (p - 1).leading_zeros();
     let mut clock = vec![0.0f64; p];
-    // Peak depth is one in-flight arrival per rank (rounds are drained
-    // before the next is scheduled), so pre-size the heap to match.
-    let mut q: EventQueue<Arrival> = EventQueue::with_capacity(p);
+    let mut q: EventQueue<Arrival> = EventQueue::new();
 
     // Round 0 sends are scheduled immediately; later rounds are scheduled
     // when both partners have finished the previous round. We process
@@ -273,101 +271,150 @@ pub fn allreduce_hierarchical_des(net: &mut Network, node_of_rank: &[usize], byt
     reduce_t + inter_t + bcast_t
 }
 
-/// One round of a leader's precomputed pairwise-exchange schedule: an
-/// optional send of `bytes` to `(dst leader, dst round index)` issued on
-/// entering the round, and optionally one expected arrival gating exit.
+/// One round of a leader's pairwise-exchange schedule: an optional send of
+/// `bytes` to `(dst leader, dst round index)` issued on entering the round,
+/// and optionally one expected arrival gating exit.
+#[derive(Clone, Copy)]
 struct ExchangeRound {
     send: Option<(usize, u32)>,
     bytes: u64,
     expect: bool,
 }
 
-/// Recursive-doubling schedule over `p` leaders: `ceil(log2 p)` rounds, in
-/// round `k` leader `r` exchanges the full payload with `r ^ (1 << k)`.
-/// Leaders whose partner falls beyond `p` (virtual power-of-two padding)
-/// idle through that round, as in [`allreduce_recursive_doubling_des`].
-fn doubling_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
-    let rounds = usize::BITS - (p - 1).leading_zeros();
-    (0..p)
-        .map(|rank| {
-            (0..rounds)
-                .map(|k| {
-                    let partner = rank ^ (1usize << k);
-                    if partner < p {
-                        ExchangeRound {
-                            send: Some((partner, k)),
-                            bytes,
-                            expect: true,
-                        }
-                    } else {
-                        ExchangeRound {
-                            send: None,
-                            bytes: 0,
-                            expect: false,
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect()
+/// The leader leg's pairwise-exchange schedule. Both algorithms are
+/// closed-form XOR/shift arithmetic, so a leader's round is computed from
+/// `(rank, round)` when the leader enters it rather than stored.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// Recursive doubling over `p` leaders: `ceil(log2 p)` rounds, in round
+    /// `k` leader `r` exchanges the full payload with `r ^ (1 << k)`.
+    /// Leaders whose partner falls beyond `p` (virtual power-of-two
+    /// padding) idle through that round, as in
+    /// [`allreduce_recursive_doubling_des`].
+    Doubling { p: usize, rounds: u32, bytes: u64 },
+    /// Rabenseifner over `p2 + extras` leaders (`p2` the largest power of
+    /// two, `steps = log2 p2`): recursive-halving reduce-scatter then
+    /// recursive-doubling allgather (the same pairs, same chunk sizes,
+    /// mirrored), with leaders `p2 + i` folding into leader `i` in a
+    /// pre-round and receiving the result in a post-round, as in
+    /// [`allreduce_rabenseifner_des`].
+    Rabenseifner {
+        p2: usize,
+        steps: u32,
+        extras: usize,
+        bytes: u64,
+    },
 }
 
-/// Rabenseifner schedule over `p` leaders: recursive-halving
-/// reduce-scatter then recursive-doubling allgather (the same pairs, same
-/// chunk sizes, mirrored), with leaders beyond the largest power of two
-/// folding into a partner in a pre-round and receiving the result in a
-/// post-round, as in [`allreduce_rabenseifner_des`].
-fn rabenseifner_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
-    let steps = usize::BITS - 1 - p.leading_zeros(); // floor(log2 p)
-    let p2 = 1usize << steps;
-    let extras = p - p2;
-    // Leaders below `extras` open with a pre-round arrival slot, shifting
-    // their exchange rounds by one.
-    let offset = |rank: usize| -> u32 { u32::from(rank < extras) };
-    (0..p)
-        .map(|rank| {
-            if rank >= p2 {
-                // Folded leader: hand off at the start, collect at the end.
-                return vec![
+impl Schedule {
+    fn doubling(p: usize, bytes: u64) -> Self {
+        let rounds = usize::BITS - (p - 1).leading_zeros();
+        Schedule::Doubling { p, rounds, bytes }
+    }
+
+    fn rabenseifner(p: usize, bytes: u64) -> Self {
+        let steps = usize::BITS - 1 - p.leading_zeros(); // floor(log2 p)
+        let p2 = 1usize << steps;
+        Schedule::Rabenseifner {
+            p2,
+            steps,
+            extras: p - p2,
+            bytes,
+        }
+    }
+
+    /// Rounds in `rank`'s schedule.
+    fn rounds(self, rank: usize) -> u32 {
+        match self {
+            Schedule::Doubling { rounds, .. } => rounds,
+            Schedule::Rabenseifner {
+                p2, steps, extras, ..
+            } => {
+                if rank >= p2 {
+                    2
+                } else if rank < extras {
+                    2 * steps + 2
+                } else {
+                    2 * steps
+                }
+            }
+        }
+    }
+
+    /// The longest schedule of any leader: leader 0's, as it is never
+    /// folded and is the first to take a pre-round.
+    fn max_rounds(self) -> u32 {
+        self.rounds(0)
+    }
+
+    /// Round `r` of `rank`'s schedule; `r < self.rounds(rank)`.
+    fn round(self, rank: usize, r: u32) -> ExchangeRound {
+        const IDLE: ExchangeRound = ExchangeRound {
+            send: None,
+            bytes: 0,
+            expect: false,
+        };
+        const RECEIVE: ExchangeRound = ExchangeRound {
+            send: None,
+            bytes: 0,
+            expect: true,
+        };
+        match self {
+            Schedule::Doubling { p, bytes, .. } => {
+                let partner = rank ^ (1usize << r);
+                if partner < p {
                     ExchangeRound {
-                        send: Some((rank - p2, 0)),
+                        send: Some((partner, r)),
+                        bytes,
+                        expect: true,
+                    }
+                } else {
+                    IDLE
+                }
+            }
+            Schedule::Rabenseifner {
+                p2,
+                steps,
+                extras,
+                bytes,
+            } => {
+                if rank >= p2 {
+                    // Folded leader: hand off at the start, collect at the end.
+                    return if r == 0 {
+                        ExchangeRound {
+                            send: Some((rank - p2, 0)),
+                            bytes,
+                            expect: false,
+                        }
+                    } else {
+                        RECEIVE
+                    };
+                }
+                // Leaders below `extras` open with a pre-round arrival slot,
+                // shifting their exchange rounds by one, and close with the
+                // post-round hand-back.
+                let offset = |rank: usize| u32::from(rank < extras);
+                if rank < extras && r == 0 {
+                    return RECEIVE;
+                }
+                if rank < extras && r == 2 * steps + 1 {
+                    return ExchangeRound {
+                        send: Some((p2 + rank, 1)),
                         bytes,
                         expect: false,
-                    },
-                    ExchangeRound {
-                        send: None,
-                        bytes: 0,
-                        expect: true,
-                    },
-                ];
-            }
-            let mut rounds = Vec::with_capacity(2 * steps as usize + 2);
-            if rank < extras {
-                rounds.push(ExchangeRound {
-                    send: None,
-                    bytes: 0,
-                    expect: true,
-                });
-            }
-            for s in 0..2 * steps {
+                    };
+                }
+                let s = r - offset(rank);
                 let h = if s < steps { s } else { 2 * steps - 1 - s };
                 let partner = rank ^ (1usize << h);
-                rounds.push(ExchangeRound {
+                ExchangeRound {
                     send: Some((partner, offset(partner) + s)),
                     bytes: (bytes >> (h + 1)).max(1),
                     expect: true,
-                });
+                }
             }
-            if rank < extras {
-                rounds.push(ExchangeRound {
-                    send: Some((p2 + rank, 1)),
-                    bytes,
-                    expect: false,
-                });
-            }
-            rounds
-        })
-        .collect()
+        }
+    }
 }
 
 /// Message payload of the engine-driven leader allreduce.
@@ -380,12 +427,14 @@ enum LeaderMsg {
 }
 
 /// Per-leader progress through its exchange schedule.
-#[derive(Debug, Clone)]
-struct LeaderState {
+#[derive(Debug)]
+struct LeaderState<'a> {
     clock: f64,
-    round: usize,
+    round: u32,
     sent: bool,
-    arrived: Vec<f64>, // per round; NaN = not yet
+    /// Arrival time per round, this leader's chunk of one array shared by
+    /// all leaders; NaN = not yet.
+    arrived: &'a mut [f64],
 }
 
 /// Advance leader `e` through its schedule as far as buffered arrivals
@@ -393,39 +442,37 @@ struct LeaderState {
 /// with, and an expected round is left only when its arrival is in —
 /// `clock = max(clock, arrival)`, the LogGP dependency rule.
 fn pump_leader<F>(
-    ctx: &mut Ctx<'_, LeaderState, LeaderMsg>,
+    ctx: &mut Ctx<'_, LeaderState<'_>, LeaderMsg>,
     e: usize,
-    schedule: &[ExchangeRound],
+    schedule: Schedule,
     node_of_leader: &[usize],
     flight: &F,
 ) where
     F: Fn(usize, usize, u64) -> f64,
 {
+    let rounds = schedule.rounds(e);
     loop {
-        let (r, clock, sent) = {
-            let st = ctx.state(e);
-            (st.round, st.clock, st.sent)
-        };
-        if r >= schedule.len() {
+        let st = ctx.state(e);
+        let (r, clock, sent) = (st.round, st.clock, st.sent);
+        if r >= rounds {
             break;
         }
-        let round = &schedule[r];
+        let round = schedule.round(e, r);
         if !sent {
-            ctx.state(e).sent = true;
+            st.sent = true;
             if let Some((dst, dst_round)) = round.send {
                 let t = clock + flight(node_of_leader[e], node_of_leader[dst], round.bytes);
                 ctx.emit(dst, t, LeaderMsg::Arrive(dst_round));
             }
         }
+        let st = ctx.state(e);
         if round.expect {
-            let arrival = ctx.state(e).arrived[r];
+            let arrival = st.arrived[r as usize];
             if arrival.is_nan() {
                 break;
             }
-            let st = ctx.state(e);
             st.clock = st.clock.max(arrival);
         }
-        let st = ctx.state(e);
         st.round += 1;
         st.sent = false;
     }
@@ -475,10 +522,10 @@ pub fn allreduce_des_stats(
         let algo = crate::collectives::select_algorithm(bytes);
         let (schedule, fabric) = match algo {
             crate::collectives::CollectiveAlgorithm::RecursiveDoubling => {
-                (doubling_schedule(nodes.len(), bytes), 1.0)
+                (Schedule::doubling(nodes.len(), bytes), 1.0)
             }
             crate::collectives::CollectiveAlgorithm::Ring => (
-                rabenseifner_schedule(nodes.len(), bytes),
+                Schedule::rabenseifner(nodes.len(), bytes),
                 net.topology().bisection_factor(),
             ),
         };
@@ -498,13 +545,15 @@ pub fn allreduce_des_stats(
         // distinct nodes), so the link latency is a sound lookahead.
         let mut engine: ShardedEventQueue<LeaderMsg> =
             ShardedEventQueue::for_backend(backend, topo, &nodes, link.latency_us);
-        let mut states: Vec<LeaderState> = schedule
-            .iter()
-            .map(|rounds| LeaderState {
+        let stride = schedule.max_rounds() as usize;
+        let mut arrivals = vec![f64::NAN; nodes.len() * stride];
+        let mut states: Vec<LeaderState<'_>> = arrivals
+            .chunks_mut(stride)
+            .map(|arrived| LeaderState {
                 clock: 0.0,
                 round: 0,
                 sent: false,
-                arrived: vec![f64::NAN; rounds.len()],
+                arrived,
             })
             .collect();
         for e in 0..nodes.len() {
@@ -517,17 +566,25 @@ pub fn allreduce_des_stats(
         let pool = densela::KernelPool::new(threads);
         let stats = engine.run(&pool, &mut states, |ctx, t, e, msg| {
             if let LeaderMsg::Arrive(round) = msg {
-                let st = ctx.state(e);
-                debug_assert!(st.arrived[round as usize].is_nan(), "duplicate arrival");
-                st.arrived[round as usize] = t;
+                assert!(
+                    round < schedule.rounds(e),
+                    "arrival for round {round} outside leader {e}'s {}-round schedule",
+                    schedule.rounds(e)
+                );
+                let slot = &mut ctx.state(e).arrived[round as usize];
+                assert!(
+                    slot.is_nan(),
+                    "duplicate arrival for leader {e} round {round}"
+                );
+                *slot = t;
             }
-            pump_leader(ctx, e, &schedule[e], &nodes, &flight);
+            pump_leader(ctx, e, schedule, &nodes, &flight);
         });
         let inter = states
             .iter()
             .enumerate()
             .map(|(e, st)| {
-                assert_eq!(st.round, schedule[e].len(), "leader {e} did not finish");
+                assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
                 st.clock
             })
             .fold(0.0, f64::max);
@@ -790,6 +847,61 @@ mod tests {
         // And the degenerate cases are free.
         assert_eq!(allreduce_des(&net, &[0], 4096, DesBackend::Serial), 0.0);
         assert_eq!(allreduce_des(&net, &[], 4096, DesBackend::Serial), 0.0);
+    }
+
+    #[test]
+    fn exchange_schedules_feed_every_expecting_round_exactly_once() {
+        use crate::collectives::{select_algorithm, CollectiveAlgorithm};
+        for p in 2..=300usize {
+            for (bytes, algo) in [
+                (8u64, CollectiveAlgorithm::RecursiveDoubling),
+                (1 << 20, CollectiveAlgorithm::Ring),
+            ] {
+                assert_eq!(select_algorithm(bytes), algo);
+                let schedule = match algo {
+                    CollectiveAlgorithm::RecursiveDoubling => Schedule::doubling(p, bytes),
+                    CollectiveAlgorithm::Ring => Schedule::rabenseifner(p, bytes),
+                };
+                let mut fed: Vec<Vec<u32>> = (0..p)
+                    .map(|rank| vec![0; schedule.rounds(rank) as usize])
+                    .collect();
+                let mut sends = 0u64;
+                for rank in 0..p {
+                    assert!(schedule.rounds(rank) <= schedule.max_rounds());
+                    for r in 0..schedule.rounds(rank) {
+                        let Some((dst, dst_round)) = schedule.round(rank, r).send else {
+                            continue;
+                        };
+                        assert!(
+                            dst < p && dst != rank,
+                            "p={p} {algo:?}: {rank} sends to {dst}"
+                        );
+                        assert!(
+                            dst_round < schedule.rounds(dst)
+                                && schedule.round(dst, dst_round).expect,
+                            "p={p} {algo:?}: {rank} round {r} sends to {dst} round {dst_round}, \
+                             which expects nothing"
+                        );
+                        fed[dst][dst_round as usize] += 1;
+                        sends += 1;
+                    }
+                }
+                for (rank, rounds) in fed.iter().enumerate() {
+                    for (r, &n) in rounds.iter().enumerate() {
+                        let expect = schedule.round(rank, r as u32).expect;
+                        assert_eq!(
+                            n,
+                            u32::from(expect),
+                            "p={p} {algo:?}: leader {rank} round {r} fed {n} times"
+                        );
+                    }
+                }
+                let net = Network::new(InterconnectKind::TofuD, p);
+                let (_, stats) =
+                    allreduce_des_stats(&net, &one_rank_per_node(p), bytes, DesBackend::Serial);
+                assert_eq!(stats.events, p as u64 + sends, "p={p} {algo:?}");
+            }
+        }
     }
 
     #[test]
