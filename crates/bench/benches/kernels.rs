@@ -9,7 +9,7 @@ use densela::vecops;
 use fftsim::complex::Complex64;
 use fftsim::fft3d::fft3_inplace;
 use sparsela::cg::cg_solve;
-use sparsela::coloring::{mc_symgs_sweep, Coloring};
+use sparsela::coloring::{mc_symgs_sweep, ColoredCsr, Coloring};
 use sparsela::ell::SellMatrix;
 use sparsela::gen::{stencil27, structural3d};
 use sparsela::mg::MgHierarchy;
@@ -46,6 +46,10 @@ fn bench_sparse(c: &mut Criterion) {
     g.bench_function("mc_symgs_sweep_32cubed", |b| {
         b.iter(|| black_box(mc_symgs_sweep(&a, &coloring, &bvec, &mut xc)))
     });
+    let colored = ColoredCsr::new(a.clone(), &coloring);
+    g.bench_function("mc_symgs_colored_32cubed", |b| {
+        b.iter(|| black_box(colored.sweep(&bvec, &mut xc)))
+    });
 
     // The hybrid-rank thread team on the same SpMV: the persistent kernel
     // pool (threads spawned once) against the old spawn-per-call scheme.
@@ -65,7 +69,7 @@ fn bench_sparse(c: &mut Criterion) {
     });
     let mut xmc = vec![0.0; a.rows()];
     g.bench_function("mc_symgs_pool4_32cubed", |b| {
-        b.iter(|| black_box(team.mc_symgs_sweep(&a, &coloring, &bvec, &mut xmc)))
+        b.iter(|| black_box(team.mc_symgs_sweep(&colored, &bvec, &mut xmc)))
     });
 
     let s = structural3d(8, 8, 8);

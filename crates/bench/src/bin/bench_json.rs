@@ -7,7 +7,8 @@
 //! dot, AXPY, and a full CG solve on the 48³ 27-point stencil), plus every
 //! data-level-optimised kernel against its naive reference (register-tiled
 //! GEMM, the packed Nekbone batch, tiled tensor contractions, the
-//! cache-blocked MC-SymGS sweep, and the tile-gathered 3-D FFT — outputs
+//! cache-blocked and colour-ordered MC-SymGS sweeps, and the tile-gathered
+//! 3-D FFT — outputs
 //! asserted byte-identical before either variant is timed), and writes the
 //! results as JSON to `BENCH_kernels.json` (or the path given as the first
 //! argument). Every row carries roofline fields: modelled flops and bytes
@@ -52,7 +53,7 @@
 //! (the small-kernel regression fix), so their pooled and serial columns
 //! should read within noise of each other.
 
-use sparsela::coloring::Coloring;
+use sparsela::coloring::{ColoredCsr, Coloring};
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
 use sparsela::parallel::{SpawnTeam, Team};
@@ -467,6 +468,10 @@ fn main() {
     // interior ones) instead of a hand-picked constant.
     let sell = SellMatrix::from_csr_auto(&a, 8);
     let coloring = Coloring::stencil8(nx, ny, nz);
+    // The optimised HPCG smoother's storage: the operator's rows colour by
+    // colour. The pooled MC-SymGS column and the `mc_symgs_colored` row
+    // sweep it.
+    let colored = ColoredCsr::new(a.clone(), &coloring);
     let n = a.rows();
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.017).cos()).collect();
@@ -521,7 +526,7 @@ fn main() {
             spawn_s: time(VEC_REPS, || {
                 sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs)
             }),
-            pooled_s: time(VEC_REPS, || team.mc_symgs_sweep(&a, &coloring, &b, &mut xp)),
+            pooled_s: time(VEC_REPS, || team.mc_symgs_sweep(&colored, &b, &mut xp)),
             work: symgs_work,
         });
     }
@@ -754,6 +759,26 @@ fn main() {
         );
         blocked_rows.push(BlockedRow {
             name: "mc_symgs_blocked",
+            naive_s,
+            blocked_s,
+            work: w,
+        });
+    }
+    {
+        // Colour-ordered storage: every colour pass streams one contiguous
+        // range of rows instead of striding through natural-order CSR.
+        let mut x_naive = vec![0.0; n];
+        let mut x_colored = vec![0.0; n];
+        sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_naive);
+        let w = colored.sweep(&b, &mut x_colored);
+        assert_bits_eq(&x_naive, &x_colored, "mc_symgs_colored");
+        let (naive_s, blocked_s) = time_pair(
+            VEC_REPS,
+            || sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_naive),
+            || colored.sweep(&b, &mut x_colored),
+        );
+        blocked_rows.push(BlockedRow {
+            name: "mc_symgs_colored",
             naive_s,
             blocked_s,
             work: w,

@@ -11,7 +11,7 @@
 //! pool's dispatch counter to prove the parallel path actually ran.
 
 use a64fx_core::Table;
-use sparsela::coloring::{mc_symgs_sweep, Coloring};
+use sparsela::coloring::{mc_symgs_sweep, ColoredCsr, Coloring};
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
 use sparsela::{cg_solve, CsrMatrix, SpawnTeam, Team};
@@ -93,6 +93,7 @@ pub fn run() -> (Table, Vec<String>) {
     let coloring = Coloring::stencil8(GRID.0, GRID.1, GRID.2);
     let mut gs_serial = vec![0.0; n];
     mc_symgs_sweep(&a, &coloring, &b, &mut gs_serial);
+    let colored = ColoredCsr::new(a.clone(), &coloring);
     let serial_cg = {
         let mut xs = vec![0.0; n];
         cg_solve(&a, &b, &mut xs, CG_MAX_ITER, CG_RTOL)
@@ -141,7 +142,7 @@ pub fn run() -> (Table, Vec<String>) {
 
         // Multicolour SymGS bit-identical to the serial sweep.
         let mut gs = vec![0.0; n];
-        team.mc_symgs_sweep(&a, &coloring, &b, &mut gs);
+        team.mc_symgs_sweep(&colored, &b, &mut gs);
         chk.record(
             "MC-SymGS pooled == serial (bitwise)",
             t,
@@ -242,7 +243,16 @@ pub fn run() -> (Table, Vec<String>) {
         );
     }
 
-    blocked_section(&mut chk, &a, &x, &b, &coloring, &sell, &y_sell_serial);
+    blocked_section(
+        &mut chk,
+        &a,
+        &x,
+        &b,
+        &coloring,
+        &colored,
+        &sell,
+        &y_sell_serial,
+    );
 
     chk.table.note(format!(
         "{}x{}x{} 27-point stencil ({n} rows); serial CG: {} iterations to rel {:.2e}",
@@ -259,7 +269,8 @@ pub fn run() -> (Table, Vec<String>) {
 
 /// The blocked-kernel parity section: every data-level-optimised kernel
 /// (register-tiled GEMM, the packed Nekbone batch, tiled tensor
-/// contractions, chunked SELL SpMV, the cache-blocked MC-SymGS sweep, the
+/// contractions, chunked SELL SpMV, SELL built from colour-ordered rows, the
+/// cache-blocked and colour-ordered MC-SymGS sweeps, the
 /// tile-gathered 3-D FFT, and the chunk-aligned elementwise Team kernels)
 /// against its naive reference. Elementwise and reordering-free kernels
 /// must be bit-identical; the chunked reductions must sit inside their
@@ -272,10 +283,26 @@ fn blocked_section(
     x: &[f64],
     b: &[f64],
     coloring: &Coloring,
+    colored: &ColoredCsr,
     sell: &SellMatrix,
     y_sell_serial: &[f64],
 ) {
     let n = a.rows();
+
+    // SELL built from the colour-ordered rows (the optimised HPCG set-up)
+    // is the very matrix built from the natural CSR.
+    {
+        let from_rows = SellMatrix::from_rows(n, n, |r| colored.row(r), sell.c(), sell.sigma());
+        chk.record(
+            "SELL from colour-ordered rows == SELL from CSR",
+            1,
+            if &from_rows == sell {
+                Ok("equal".into())
+            } else {
+                Err("matrices differ".into())
+            },
+        );
+    }
 
     // Serial-only blocked kernels: thread-independent, checked once across
     // several tile shapes (recorded under "1 thread").
@@ -409,9 +436,9 @@ fn blocked_section(
         );
 
         let mut gs = vec![0.0; n];
-        team.mc_symgs_sweep(a, coloring, b, &mut gs);
+        team.mc_symgs_sweep(colored, b, &mut gs);
         chk.record(
-            "blocked MC-SymGS == naive sweep (bitwise)",
+            "colour-ordered MC-SymGS == naive sweep (bitwise)",
             t,
             bitwise_eq(&gs_ref, &gs).map(|()| "bit-identical".into()),
         );

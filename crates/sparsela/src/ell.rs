@@ -46,13 +46,28 @@ impl SellMatrix {
     /// slices; larger σ sorts rows by length inside each window to cut
     /// padding).
     pub fn from_csr(a: &CsrMatrix, c: usize, sigma: usize) -> Self {
+        Self::from_rows(a.rows(), a.cols(), |r| a.row_parts(r), c, sigma)
+    }
+
+    /// Build from any row store: `row(r)` returns row `r`'s column indices
+    /// (strictly increasing, below `cols`) and values as slices. Reading
+    /// whole rows as slices makes the build O(stored entries), and both
+    /// arrays are sized exactly from the slice widths before filling.
+    /// Gives the same matrix as [`SellMatrix::from_csr`] on a CSR holding
+    /// the same rows.
+    pub fn from_rows<'a>(
+        rows: usize,
+        cols: usize,
+        row: impl Fn(usize) -> (&'a [u32], &'a [f64]),
+        c: usize,
+        sigma: usize,
+    ) -> Self {
         assert!(c >= 1, "slice height must be at least 1");
         assert!(
             sigma >= c && sigma.is_multiple_of(c),
             "sigma must be a multiple of c"
         );
-        let rows = a.rows();
-        let row_len = |r: usize| a.row(r).count();
+        let row_len = |r: usize| row(r).0.len();
 
         // σ-sort: within each window of `sigma` rows, order by descending
         // row length to homogenise slices.
@@ -61,49 +76,49 @@ impl SellMatrix {
             window.sort_by_key(|&r| std::cmp::Reverse(row_len(r)));
         }
 
-        let num_slices = rows.div_ceil(c);
-        let mut slice_width = Vec::with_capacity(num_slices);
-        let mut slice_ptr = Vec::with_capacity(num_slices + 1);
+        let slice_width: Vec<usize> = perm
+            .chunks(c)
+            .map(|slice| slice.iter().map(|&r| row_len(r)).max().unwrap_or(0))
+            .collect();
+        let mut slice_ptr = Vec::with_capacity(slice_width.len() + 1);
         slice_ptr.push(0);
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        for s in 0..num_slices {
-            let lo = s * c;
-            let hi = ((s + 1) * c).min(rows);
-            let width = (lo..hi).map(|i| row_len(perm[i])).max().unwrap_or(0);
-            slice_width.push(width);
-            // Column-major within the slice: entry j of each of the c rows.
-            for j in 0..width {
-                for lane in 0..c {
-                    let i = lo + lane;
-                    if i < hi {
-                        let old = perm[i];
-                        if let Some((col, val)) = a.row(old).nth(j) {
-                            col_idx.push(col as u32);
-                            values.push(val);
-                        } else {
-                            // Padding: self-referential zero keeps SpMV branch-free.
-                            col_idx.push(old as u32);
-                            values.push(0.0);
-                        }
-                    } else {
-                        col_idx.push(0);
-                        values.push(0.0);
-                    }
+        for w in &slice_width {
+            slice_ptr.push(slice_ptr.last().unwrap() + w * c);
+        }
+        // Lanes past the last row of a short final slice keep the zeroed
+        // column 0 / value 0 they start with.
+        let stored = *slice_ptr.last().unwrap();
+        let mut col_idx = vec![0u32; stored];
+        let mut values = vec![0.0f64; stored];
+        let mut nnz = 0;
+        for (s, slice) in perm.chunks(c).enumerate() {
+            let (base, width) = (slice_ptr[s], slice_width[s]);
+            for (lane, &old) in slice.iter().enumerate() {
+                // Column-major within the slice: entry j of the lane's row
+                // sits at `base + j * c + lane`.
+                let (ci, vi) = row(old);
+                nnz += ci.len();
+                let at = |j: usize| base + j * c + lane;
+                for (j, (&col, &val)) in ci.iter().zip(vi).enumerate() {
+                    col_idx[at(j)] = col;
+                    values[at(j)] = val;
+                }
+                // Padding: self-referential zero keeps SpMV branch-free.
+                for j in ci.len()..width {
+                    col_idx[at(j)] = old as u32;
                 }
             }
-            slice_ptr.push(col_idx.len());
         }
         SellMatrix {
             rows,
-            cols: a.cols(),
+            cols,
             c,
             perm,
             slice_width,
             slice_ptr,
             col_idx,
             values,
-            nnz: a.nnz(),
+            nnz,
             sigma,
         }
     }
@@ -124,7 +139,7 @@ impl SellMatrix {
         let mut mean = 0.0f64;
         let mut m2 = 0.0f64;
         for r in 0..rows {
-            let len = a.row(r).count() as f64;
+            let len = a.row_parts(r).0.len() as f64;
             // Welford's running mean/variance.
             let delta = len - mean;
             mean += delta / (r + 1) as f64;
@@ -330,6 +345,33 @@ impl SellMatrix {
 mod tests {
     use super::*;
     use crate::gen::{poisson7, stencil27, structural3d};
+
+    #[test]
+    fn slice_layout_is_column_major_with_self_padding() {
+        // Rows of length 2, 1, 3 in slices of height 2, σ-sorted in pairs:
+        // the window [0, 1] keeps its order, row 2 fills a short slice.
+        let a = CsrMatrix::from_coo(
+            3,
+            3,
+            vec![
+                (0, 0, 2.0),
+                (0, 2, 1.0),
+                (1, 1, 3.0),
+                (2, 0, 1.0),
+                (2, 1, 5.0),
+                (2, 2, 4.0),
+            ],
+        );
+        let s = SellMatrix::from_csr(&a, 2, 2);
+        assert_eq!(s.perm, [0, 1, 2]);
+        assert_eq!(s.slice_width, [2, 3]);
+        assert_eq!(s.slice_ptr, [0, 4, 10]);
+        // Row 1 pads with its own index; the missing lane of the last
+        // slice holds column 0, value 0.
+        assert_eq!(s.col_idx, [0, 1, 2, 1, 0, 0, 1, 0, 2, 0]);
+        assert_eq!(s.values, [2.0, 3.0, 1.0, 0.0, 1.0, 0.0, 5.0, 0.0, 4.0, 0.0]);
+        assert_eq!(s.nnz(), 6);
+    }
 
     fn spmv_matches(a: &CsrMatrix, c: usize, sigma: usize) {
         let sell = SellMatrix::from_csr(a, c, sigma);

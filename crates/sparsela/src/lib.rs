@@ -10,8 +10,9 @@
 //!   full scale), and simple Poisson operators for tests.
 //! * [`symgs`] — symmetric Gauss–Seidel sweeps (HPCG's smoother).
 //! * [`ell`] — SELL-C-σ / ELLPACK storage with vector-friendly SpMV, and
-//! * [`coloring`] — multi-colour Gauss–Seidel: together, the actual kernel
-//!   rewrites behind the paper's vendor-optimised HPCG variants.
+//! * [`coloring`] — multi-colour Gauss–Seidel over an operator stored
+//!   colour by colour: together, the actual kernel rewrites behind the
+//!   paper's vendor-optimised HPCG variants.
 //! * [`cg`] — conjugate gradient and preconditioned CG with work accounting
 //!   and per-iteration callbacks.
 //! * [`mg`] — the HPCG-style geometric multigrid V-cycle preconditioner

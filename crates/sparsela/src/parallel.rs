@@ -21,7 +21,7 @@
 //! buys; it is not used by any solver.
 
 use crate::cg::residual_sub_work;
-use crate::coloring::{self, Coloring};
+use crate::coloring::ColoredCsr;
 use crate::csr::CsrMatrix;
 use crate::ell::SellMatrix;
 use crate::partition::RowPartition;
@@ -336,78 +336,45 @@ impl Team {
         Work::new(2 * n, 16 * n, 8 * n)
     }
 
-    /// Parallel multicolour symmetric Gauss–Seidel sweep: each colour
-    /// group's rows are mutually independent, so one group is one pool
-    /// dispatch; the forward-then-backward colour order of the serial
-    /// [`coloring::mc_symgs_sweep`] is preserved and the result is
-    /// bit-identical to it (row results depend only on rows of *other*
-    /// colours, which no lane is writing).
-    pub fn mc_symgs_sweep(
-        &self,
-        a: &CsrMatrix,
-        coloring: &Coloring,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Work {
-        assert_eq!(a.rows(), a.cols());
+    /// Parallel multicolour symmetric Gauss–Seidel sweep over colour-ordered
+    /// storage: each colour is one contiguous range of rows, and its rows
+    /// are mutually independent, so one colour is one pool dispatch over a
+    /// block partition of that range. The forward-then-backward colour
+    /// order of [`ColoredCsr::sweep`] is kept, and every lane runs its
+    /// per-row kernel, so the result is bit-identical to it — and to the
+    /// naive [`crate::coloring::mc_symgs_sweep`] — at any thread count (row
+    /// results depend only on rows of *other* colours, which no lane is
+    /// writing). A colour whose non-zeros fall below the serial cutover is
+    /// relaxed inline.
+    pub fn mc_symgs_sweep(&self, a: &ColoredCsr, b: &[f64], x: &mut [f64]) -> Work {
+        if self.threads() == 1 {
+            return a.sweep(b, x);
+        }
         assert_eq!(b.len(), a.rows());
         assert_eq!(x.len(), a.rows());
-        if self.threads() == 1 {
-            // The cache-blocked serial sweep is bit-identical to the naive
-            // one and faster (diagonal gathered once, slice row access).
-            return coloring::mc_symgs_sweep_blocked(a, coloring, b, x);
-        }
-        debug_assert!(coloring.is_valid_for(a), "invalid colouring");
         let t = self.threads();
-        let groups = coloring.groups();
-        // Gather the diagonal once per sweep instead of re-scanning every
-        // row's entries in both directions (same value, so bit-identity
-        // with the serial sweep is preserved).
-        let diag: Vec<f64> = (0..a.rows()).map(|r| a.diag(r)).collect();
         let xs = SharedSlice::new(x);
-        // SAFETY (both closures): within one colour group, each row is
-        // written by exactly one lane, and off-diagonal reads only touch
-        // rows of other colours — which nothing writes during this group.
-        let relax_row = |r: usize| {
-            let d = diag[r];
-            if d == 0.0 {
-                return;
-            }
-            let mut acc = b[r];
-            let (cols, vals) = a.row_parts(r);
-            for (cc, v) in cols.iter().zip(vals) {
-                let c = *cc as usize;
-                if c != r {
-                    acc -= v * unsafe { xs.get(c) };
-                }
-            }
-            unsafe { xs.set(r, acc / d) };
-        };
-        // Gate each colour group on its share of the matrix's nonzeros —
-        // a group's relaxation cost scales with nnz, not row count.
-        let nnz_per_row = a.nnz() / a.rows().max(1);
-        let relax_group = |rows: &[usize]| {
-            if rows.len() < 2 * t || self.serial(rows.len().saturating_mul(nnz_per_row.max(1))) {
-                for &r in rows {
-                    relax_row(r);
-                }
+        let relax_color = |c: usize| {
+            let range = a.color_range(c);
+            if range.len() < 2 * t || self.serial(a.nnz_in(range.clone())) {
+                // SAFETY: lengths checked above; only this thread runs.
+                unsafe { a.relax(range, b, &xs) };
             } else {
-                let part = self.partition(rows.len());
+                let part = self.partition(range.len());
                 self.pool.run(|lane| {
                     let (lo, hi) = part.range(lane);
-                    for &r in &rows[lo..hi] {
-                        relax_row(r);
-                    }
+                    // SAFETY: lanes relax disjoint rows of one colour;
+                    // `ColoredCsr::new` guarantees those rows read only
+                    // rows of other colours, which nothing writes now.
+                    unsafe { a.relax(range.start + lo..range.start + hi, b, &xs) };
                 });
             }
         };
-        for g in &groups {
-            relax_group(g);
+        let k = a.num_colors();
+        for c in (0..k).chain((0..k).rev()) {
+            relax_color(c);
         }
-        for g in groups.iter().rev() {
-            relax_group(g);
-        }
-        coloring::mc_symgs_work(a)
+        a.sweep_work()
     }
 
     /// Slice-parallel SELL-C-σ SpMV: slices (groups of C rows) are
@@ -672,6 +639,7 @@ impl SpawnTeam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coloring::{mc_symgs_sweep, Coloring};
     use crate::gen::{poisson7, stencil27, structural3d};
 
     /// A team with the serial cutover disabled: these tests exercise the
@@ -797,16 +765,28 @@ mod tests {
         let mut x_serial = vec![0.0; a.rows()];
         let mut w_serial = Work::ZERO;
         for _ in 0..3 {
-            w_serial += coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
+            w_serial += mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
         }
-        for threads in [2usize, 4, 7] {
+        let colored = ColoredCsr::new(a, &coloring);
+        for threads in [1usize, 2, 4, 7] {
             let team = pooled(threads);
-            let mut x_par = vec![0.0; a.rows()];
+            let mut x_par = vec![0.0; colored.rows()];
             let mut w_par = Work::ZERO;
+            let before = team.pool().dispatches();
             for _ in 0..3 {
-                w_par += team.mc_symgs_sweep(&a, &coloring, &b, &mut x_par);
+                w_par += team.mc_symgs_sweep(&colored, &b, &mut x_par);
             }
-            assert_eq!(x_serial, x_par, "{threads} threads");
+            let dispatched = team.pool().dispatches() - before;
+            if threads == 1 {
+                assert_eq!(dispatched, 0, "one lane runs inline");
+            } else {
+                // Three sweeps of 8 colours, two passes each; every colour
+                // holds 27 rows, enough to split at 7 lanes too.
+                assert_eq!(dispatched, 3 * 16, "{threads} threads");
+            }
+            for (u, v) in x_serial.iter().zip(&x_par) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{threads} threads");
+            }
             assert_eq!(w_serial, w_par, "{threads} threads: work models must agree");
         }
     }
@@ -946,6 +926,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::coloring::{mc_symgs_sweep, Coloring};
     use crate::gen::poisson7;
     use proptest::prelude::*;
 
@@ -1012,9 +993,10 @@ mod proptests {
             let coloring = Coloring::greedy(&a);
             let b: Vec<f64> = (0..a.rows()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
             let mut x_serial = vec![0.0; a.rows()];
-            coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
-            let mut x_par = vec![0.0; a.rows()];
-            pooled(threads).mc_symgs_sweep(&a, &coloring, &b, &mut x_par);
+            mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
+            let colored = ColoredCsr::new(a, &coloring);
+            let mut x_par = vec![0.0; colored.rows()];
+            pooled(threads).mc_symgs_sweep(&colored, &b, &mut x_par);
             prop_assert_eq!(x_serial, x_par);
         }
 
