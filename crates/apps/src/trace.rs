@@ -8,13 +8,12 @@
 
 use archsim::AccessPattern;
 use densela::Work;
-use serde::{Deserialize, Serialize};
 
 /// The kernel taxonomy used by the cost model. Each class carries its own
 /// per-architecture efficiency calibration, because the paper's core finding
 /// is precisely that different kernel shapes land very differently on the
 /// A64FX (HPCG/Nekbone excel; OpenSBLI's small stencil sweeps suffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Sparse matrix–vector products (HPCG, minikab). Memory-bound,
     /// indirect addressing, vectorises moderately.
@@ -90,7 +89,7 @@ impl KernelClass {
 }
 
 /// Per-rank distribution of a compute phase's work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkDist {
     /// Every rank performs the same work (weak scaling, balanced strong
     /// scaling).
@@ -121,7 +120,7 @@ impl WorkDist {
 }
 
 /// One phase of an iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Phase {
     /// A compute phase of the given kernel class.
     Compute {
@@ -214,7 +213,7 @@ impl Phase {
 /// cannot meaningfully checkpoint (or whose solver state we do not model)
 /// leave [`Trace::checkpoint`] as `None`; the resilient executor then falls
 /// back to restarting the job from the top on failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointSpec {
     /// Bytes each rank writes to stable storage per checkpoint (the
     /// solver's live vectors — for a CG solve: x, r, p and the scratch
@@ -230,7 +229,7 @@ pub struct CheckpointSpec {
 /// `iterations` times) and the flops that the benchmark's own figure of
 /// merit counts (HPCG and Nekbone report GFLOP/s over *counted* flops, not
 /// all flops executed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Number of MPI ranks the trace is built for.
     pub ranks: u32,

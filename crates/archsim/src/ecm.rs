@@ -31,13 +31,11 @@
 //! side is unchanged: `core::costmodel` takes `max(t_flop, t_mem)` exactly
 //! as the flat backend does.
 
-use serde::{Deserialize, Serialize};
-
 use crate::memory::{CacheLevel, MemorySystem};
 
 /// How a kernel walks its working set — decides how well the hardware
 /// prefetcher hides line-fetch latency (Snippet 3's pattern sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Contiguous unit-stride streams (vector ops, dot products, axpy).
     Streaming,
@@ -83,7 +81,7 @@ impl AccessPattern {
 
 /// One level of the ECM hierarchy: a cache with per-core capacity and
 /// sustained throughput, and the latency a prefetch miss into it costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcmLevel {
     /// Display name ("L1", "L2", ...).
     pub name: String,
@@ -102,7 +100,7 @@ pub struct EcmLevel {
 /// *not* a level here — its bandwidth is supplied by the caller (the
 /// calibrated roofline bandwidth), which is what makes the model collapse
 /// onto the flat backend in the memory-bound limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcmModel {
     /// Cache levels, innermost first.
     pub levels: Vec<EcmLevel>,

@@ -6,10 +6,8 @@
 //! usable ports; Aries injects ~10 GB/s per node; FDR InfiniBand is 56 Gb/s
 //! and EDR 100 Gb/s per port; OmniPath is 100 Gb/s.
 
-use serde::{Deserialize, Serialize};
-
 /// The interconnect family of a system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     /// Fujitsu TofuD: 6-D mesh/torus (A64FX system, as in Fugaku).
     TofuD,
@@ -80,7 +78,7 @@ impl InterconnectKind {
 }
 
 /// LogGP-style link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Per-link unidirectional bandwidth in GB/s.
     pub bandwidth_gbs: f64,

@@ -11,10 +11,8 @@
 //! the cost model always uses sustained numbers, because that is what bounds
 //! the memory-bound kernels that dominate the paper's benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// The memory technology attached to a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// High Bandwidth Memory, 2nd generation (A64FX).
     Hbm2,
@@ -36,7 +34,7 @@ impl MemoryKind {
 }
 
 /// One level of the on-chip cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevel {
     /// Cache level (1, 2, 3).
     pub level: u8,
@@ -95,7 +93,7 @@ impl CacheLevel {
 /// A memory locality domain: a NUMA node on x86/ThunderX2 or a CMG on the
 /// A64FX. Bandwidth is *per domain*; a node's total sustained bandwidth is
 /// the sum over its domains.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryDomain {
     /// Memory technology backing the domain.
     pub kind: MemoryKind,
@@ -114,7 +112,7 @@ pub struct MemoryDomain {
 
 /// The full per-node memory system: a set of identical locality domains plus
 /// the cache hierarchy description of the constituent processor(s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
     /// Identical locality domains (4 CMGs on A64FX, 2 sockets elsewhere).
     pub domains: Vec<MemoryDomain>,

@@ -1,13 +1,11 @@
 //! Compute node models: one or two processor packages plus a memory system.
 
-use serde::{Deserialize, Serialize};
-
 use crate::memory::MemorySystem;
 use crate::processor::Processor;
 
 /// A compute node: `sockets` identical processor packages sharing a
 /// `MemorySystem`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Number of processor packages (1 on the A64FX system, 2 elsewhere).
     pub sockets: u32,

@@ -1,11 +1,9 @@
 //! Processor (socket/package) models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::VectorUnit;
 
 /// Simultaneous multithreading capability (Table I "Threads per core").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SmtMode {
     /// One hardware thread per core (A64FX).
     Off,
@@ -27,7 +25,7 @@ impl SmtMode {
 }
 
 /// A processor package: cores, clock, vector capability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Processor {
     /// Marketing / model name, e.g. "Fujitsu A64FX".
     pub name: String,

@@ -12,8 +12,6 @@
 //! * **Fulhame**: ~244 (ThunderX2 2× 8-channel DDR4-2666; the paper itself
 //!   quotes "in excess of 240 GB/s per dual-socket node").
 
-use serde::{Deserialize, Serialize};
-
 use crate::interconnect::InterconnectKind;
 use crate::memory::{CacheLevel, MemoryDomain, MemoryKind, MemorySystem};
 use crate::node::Node;
@@ -22,7 +20,7 @@ use crate::toolchain::{Toolchain, ToolchainFamily};
 use crate::vector::VectorUnit;
 
 /// Identifier for one of the five benchmarked systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SystemId {
     /// The Fujitsu A64FX early-access system (48 nodes, TofuD).
     A64fx,
@@ -61,7 +59,7 @@ impl SystemId {
 }
 
 /// A complete system description: node architecture, interconnect and size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     /// Which system this is.
     pub id: SystemId,

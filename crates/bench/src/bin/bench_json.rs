@@ -1,16 +1,15 @@
-//! `bench_json` — machine-readable kernel and repro-suite timings, no
-//! criterion.
+//! `bench_json` — machine-readable kernel and repro-suite timings.
 //!
-//! Times the shared-memory kernel runtime three ways — serial, the old
-//! spawn-a-thread-scope-per-call team, and the persistent kernel pool — on
-//! the paper-shaped kernels (CSR SpMV, SELL-C-σ SpMV, multicolour SymGS,
+//! Times the shared-memory kernel runtime two ways — serial and the
+//! persistent kernel pool — on the paper-shaped kernels (CSR SpMV, SELL-C-σ SpMV, multicolour SymGS,
 //! dot, AXPY, and a full CG solve on the 48³ 27-point stencil), plus every
 //! data-level-optimised kernel against its naive reference (register-tiled
 //! GEMM, the packed Nekbone batch, tiled tensor contractions, the
 //! cache-blocked and colour-ordered MC-SymGS sweeps, and the tile-gathered
 //! 3-D FFT — outputs
-//! asserted byte-identical before either variant is timed), and writes the
-//! results as JSON to `BENCH_kernels.json` (or the path given as the first
+//! asserted byte-identical before either variant is timed), plus the
+//! pool's own dispatch latency (nanoseconds per `KernelPool::run` of an
+//! empty job at 1, 2 and 4 lanes), and writes the results as JSON to `BENCH_kernels.json` (or the path given as the first
 //! argument). Every row carries roofline fields: modelled flops and bytes
 //! from the kernel's `Work` counters, the achieved GFLOP/s and GB/s at the
 //! row's best time, and those rates as fractions of one A64FX core's DP
@@ -46,9 +45,9 @@
 //! around the kernel. Every file opens with a `"config"` header (git
 //! revision, DES backend, pricing backend, worker threads) so `obsctl
 //! diff` can refuse comparisons across mismatched configurations, and
-//! records `available_parallelism` so readers can judge the numbers: on a single-core host the pooled kernels cannot
-//! beat serial — what the pool still demonstrates there is the amortised
-//! spawn overhead against the spawn-per-call team. The kernel file also
+//! records `available_parallelism` so readers can judge the numbers: on a
+//! host with fewer cores than lanes the pooled kernels cannot beat serial,
+//! and the dispatch rows are the steadier signal. The kernel file also
 //! records the team's `serial_cutover_ops` — kernels below it run inline
 //! (the small-kernel regression fix), so their pooled and serial columns
 //! should read within noise of each other.
@@ -56,7 +55,7 @@
 use sparsela::coloring::{ColoredCsr, Coloring};
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
-use sparsela::parallel::{SpawnTeam, Team};
+use sparsela::parallel::Team;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -121,25 +120,41 @@ fn roofline_json(work: densela::Work, best_s: f64) -> String {
 struct Row {
     name: &'static str,
     serial_s: f64,
-    spawn_s: f64,
     pooled_s: f64,
     work: densela::Work,
 }
 
 impl Row {
     fn json(&self) -> String {
-        let best = self.serial_s.min(self.spawn_s).min(self.pooled_s);
         format!(
-            "    {{\"name\": \"{}\", \"serial_s\": {:.6e}, \"spawn_s\": {:.6e}, \"pooled_s\": {:.6e}, \"pooled_vs_serial\": {:.3}, \"pooled_vs_spawn\": {:.3}, {}}}",
+            "    {{\"name\": \"{}\", \"serial_s\": {:.6e}, \"pooled_s\": {:.6e}, \"pooled_vs_serial\": {:.3}, {}}}",
             self.name,
             self.serial_s,
-            self.spawn_s,
             self.pooled_s,
             self.serial_s / self.pooled_s,
-            self.spawn_s / self.pooled_s,
-            roofline_json(self.work, best),
+            roofline_json(self.work, self.serial_s.min(self.pooled_s)),
         )
     }
+}
+
+/// Nanoseconds per [`densela::KernelPool::run`] of an empty job on a pool
+/// of `lanes` lanes: the fixed cost every pooled kernel pays before doing
+/// any work, best of `VEC_REPS` batches of `DISPATCHES` runs. A one-lane
+/// pool runs the job inline, so its row is the call overhead alone.
+fn dispatch_row(lanes: usize) -> String {
+    const DISPATCHES: u32 = 10_000;
+    let pool = densela::KernelPool::new(lanes);
+    let best = time(VEC_REPS, || {
+        for _ in 0..DISPATCHES {
+            pool.run(|lane| {
+                black_box(lane);
+            });
+        }
+    });
+    format!(
+        "    {{\"name\": \"pool_run_lanes{lanes}\", \"lanes\": {lanes}, \"run_ns\": {:.1}}}",
+        best * 1e9 / f64::from(DISPATCHES)
+    )
 }
 
 /// A blocked-vs-naive comparison row: the same kernel with and without the
@@ -478,14 +493,12 @@ fn main() {
     let mut y = vec![0.0; n];
 
     let team = Team::new(THREADS);
-    let spawn = SpawnTeam::new(THREADS);
     let serial_team = Team::new(1);
 
     // Warm the matrix, vectors, and pool before any timed region so the
     // first-timed variant doesn't pay the page-fault bill.
     a.spmv(&x, &mut y);
     team.spmv(&a, &x, &mut y);
-    spawn.spmv(&a, &x, &mut y);
 
     eprintln!("timing kernels ({THREADS} threads)...");
     let mut rows = Vec::new();
@@ -493,7 +506,6 @@ fn main() {
     rows.push(Row {
         name: "spmv_csr",
         serial_s: time(VEC_REPS, || a.spmv(&x, &mut y)),
-        spawn_s: time(VEC_REPS, || spawn.spmv(&a, &x, &mut y)),
         pooled_s: time(VEC_REPS, || team.spmv(&a, &x, &mut y)),
         work: a.spmv_work(),
     });
@@ -509,8 +521,6 @@ fn main() {
     rows.push(Row {
         name: "spmv_sell8",
         serial_s: time(VEC_REPS, || sell.spmv(&x, &mut y)),
-        // SpawnTeam has no SELL path; the honest baseline is serial SELL.
-        spawn_s: time(VEC_REPS, || sell.spmv(&x, &mut y)),
         pooled_s: time(VEC_REPS, || team.sell_spmv(&sell, &x, &mut y)),
         work: sell.spmv_work(),
     });
@@ -523,9 +533,6 @@ fn main() {
             serial_s: time(VEC_REPS, || {
                 sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs)
             }),
-            spawn_s: time(VEC_REPS, || {
-                sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs)
-            }),
             pooled_s: time(VEC_REPS, || team.mc_symgs_sweep(&colored, &b, &mut xp)),
             work: symgs_work,
         });
@@ -533,7 +540,6 @@ fn main() {
     rows.push(Row {
         name: "dot",
         serial_s: time(VEC_REPS, || densela::vecops::dot(&x, &b)),
-        spawn_s: time(VEC_REPS, || spawn.dot(&x, &b)),
         pooled_s: time(VEC_REPS, || team.dot(&x, &b)),
         work: densela::vecops::dot(&x, &b).1,
     });
@@ -543,7 +549,6 @@ fn main() {
         rows.push(Row {
             name: "axpy",
             serial_s: time(VEC_REPS, || densela::vecops::axpy(1.0001, &x, &mut acc)),
-            spawn_s: time(VEC_REPS, || spawn.axpy(1.0001, &x, &mut acc)),
             pooled_s: time(VEC_REPS, || team.axpy(1.0001, &x, &mut acc)),
             work: axpy_work,
         });
@@ -560,10 +565,6 @@ fn main() {
             let mut x0 = vec![0.0; n];
             serial_team.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
         }),
-        spawn_s: time(CG_REPS, || {
-            let mut x0 = vec![0.0; n];
-            spawn.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
-        }),
         pooled_s: time(CG_REPS, || {
             let mut x0 = vec![0.0; n];
             team.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
@@ -572,8 +573,8 @@ fn main() {
     };
 
     // A strong-scaling-limit CG: per-rank grids shrink as jobs scale out,
-    // and at small per-rank sizes the spawn-per-call overhead dominates —
-    // the regime the persistent pool exists for.
+    // and at small per-rank sizes each kernel's dispatch cost is a large
+    // share of its time.
     let a_small = stencil27(16, 16, 16);
     let ns = a_small.rows();
     let bs: Vec<f64> = (0..ns).map(|i| (i as f64 * 0.017).cos()).collect();
@@ -592,10 +593,6 @@ fn main() {
         serial_s: time(VEC_REPS, || {
             let mut x0 = vec![0.0; ns];
             serial_team.cg_solve(&a_small, &bs, &mut x0, CG_ITERS, 0.0)
-        }),
-        spawn_s: time(VEC_REPS, || {
-            let mut x0 = vec![0.0; ns];
-            spawn.cg_solve(&a_small, &bs, &mut x0, CG_ITERS, 0.0)
         }),
         pooled_s: time(VEC_REPS, || {
             let mut x0 = vec![0.0; ns];
@@ -815,10 +812,13 @@ fn main() {
         });
     }
 
+    eprintln!("timing pool dispatch latency...");
+    let dispatch_lines: Vec<String> = [1, 2, 4].into_iter().map(dispatch_row).collect();
+
     let kernel_lines: Vec<String> = rows.iter().map(Row::json).collect();
     let blocked_lines: Vec<String> = blocked_rows.iter().map(BlockedRow::json).collect();
     let json = format!(
-        "{{\n  \"config\": {cfg},\n  \"grid\": [{nx}, {ny}, {nz}],\n  \"rows\": {n},\n  \"threads\": {THREADS},\n  \"available_parallelism\": {ap},\n  \"serial_cutover_ops\": {cutover},\n  \"sell\": {{\"c\": {sc}, \"sigma\": {ssig}, \"fill_ratio\": {sfill:.4}}},\n  \"cg_iterations\": {CG_ITERS},\n  \"cg\":\n{cg_line},\n  \"kernels\": [\n{kernels}\n  ],\n  \"blocked\": [\n{blocked}\n  ]\n}}\n",
+        "{{\n  \"config\": {cfg},\n  \"grid\": [{nx}, {ny}, {nz}],\n  \"rows\": {n},\n  \"threads\": {THREADS},\n  \"available_parallelism\": {ap},\n  \"serial_cutover_ops\": {cutover},\n  \"sell\": {{\"c\": {sc}, \"sigma\": {ssig}, \"fill_ratio\": {sfill:.4}}},\n  \"cg_iterations\": {CG_ITERS},\n  \"cg\":\n{cg_line},\n  \"kernels\": [\n{kernels}\n  ],\n  \"blocked\": [\n{blocked}\n  ],\n  \"dispatch\": [\n{dispatch}\n  ]\n}}\n",
         cfg = a64fx_bench::config::header_json(THREADS),
         ap = densela::pool::available_parallelism(),
         cutover = team.serial_cutover_ops(),
@@ -828,6 +828,7 @@ fn main() {
         cg_line = cg.json(),
         kernels = kernel_lines.join(",\n"),
         blocked = blocked_lines.join(",\n"),
+        dispatch = dispatch_lines.join(",\n"),
     );
     std::fs::write(&path, &json).expect("writing the benchmark file failed");
     eprintln!("wrote {path}");

@@ -27,7 +27,7 @@
 use std::process::ExitCode;
 
 use a64fx_bench::obsdiff;
-use conform::json::{self, Value};
+use obs::json::{self, Value};
 
 const USAGE: &str = "usage:
   obsctl diff <baseline.json> <candidate.json> [--threshold <pct>] [--warn-values]

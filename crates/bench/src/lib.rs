@@ -1,29 +1,17 @@
-//! # a64fx-bench — the benchmark harness
+//! # a64fx-bench — benchmark writers and the perf gate
 //!
-//! Criterion benches regenerating every table and figure of the paper, plus
-//! microbenchmarks of the real numerical substrates and the ablation
-//! sweeps. Run with `cargo bench --workspace`; regenerate the tables
-//! themselves with the `repro` binary (`cargo run -p a64fx-core --bin repro
-//! -- --all`).
+//! Two binaries: `bench_json` times the real kernels, one full repro run,
+//! the DES engine and the two pricing backends, and writes the committed
+//! `BENCH_*.json` files; `obsctl` reads those files (and the simulator's
+//! Chrome traces and metrics snapshots) offline. Regenerate the paper
+//! tables themselves with the `repro` binary (`cargo run -p a64fx-core
+//! --bin repro -- --all`).
 //!
-//! * `benches/paper_tables.rs` — one bench per paper artefact (T1, T3, T4,
-//!   T5, F1, F2, T6, F3, T7, T8, F4, F5, T9, T10), each timing the
-//!   simulation that regenerates it.
-//! * `benches/kernels.rs` — the real kernels underneath: SpMV, SymGS,
-//!   multigrid V-cycles, spectral-element `ax`, 3-D FFTs, CG iterations,
-//!   and a compressible TGV time step.
-//! * `benches/ablations.rs` — the design-choice sweeps of
-//!   `a64fx_core::ablations`.
-//!
-//! The crate also hosts the regression-gate machinery behind the `obsctl`
-//! binary: [`config`] stamps every `BENCH_*.json` with the run
-//! configuration (git revision, DES backend, pricing backend, worker
-//! threads) so comparisons across mismatched setups can be refused, and
-//! [`obsdiff`] is the deterministic comparator CI runs as a perf gate.
-
-/// The criterion sample size used across the harness: the simulations being
-/// timed are deterministic, so a small sample suffices.
-pub const SAMPLE_SIZE: usize = 10;
+//! The crate hosts the regression-gate machinery behind `obsctl`:
+//! [`config`] stamps every `BENCH_*.json` with the run configuration (git
+//! revision, DES backend, pricing backend, worker threads) so comparisons
+//! across mismatched setups can be refused, and [`obsdiff`] is the
+//! deterministic comparator CI runs as a perf gate.
 
 pub mod config {
     //! The run-configuration header every `BENCH_*.json` carries.
@@ -75,7 +63,7 @@ pub mod config {
 
         #[test]
         fn header_is_valid_json_with_the_five_keys() {
-            let doc = conform::json::parse(&header_json(3)).unwrap();
+            let doc = obs::json::parse(&header_json(3)).unwrap();
             for key in ["git_sha", "des_backend", "pricing", "tiling"] {
                 assert!(doc.get(key).and_then(|v| v.as_str()).is_some(), "{key}");
             }
@@ -107,11 +95,11 @@ pub mod obsdiff {
     //!   `failed` flag flipped). Shape drift always fails the gate — it
     //!   means the benchmark itself changed, not just its numbers.
     //! * **value regression** (exit 1): a numeric metric moved past the
-    //!   relative threshold in its bad direction. Keys ending in `_s`/`_us`
-    //!   are times (lower is better); keys ending in `per_s`/`_eff` and
-    //!   speedup ratios (`pooled_vs_*`, `blocked_vs_*`, `vs_serial`) are
-    //!   rates (higher is better); everything else is neutral — reported when it moves, but
-    //!   never a failure. `--warn-values` downgrades value regressions to
+    //!   relative threshold in its bad direction. Keys ending in
+    //!   `_s`/`_us`/`_ns` are times (lower is better); keys ending in
+    //!   `per_s`/`_eff` and speedup ratios (`pooled_vs_*`, `blocked_vs_*`,
+    //!   `vs_serial`) are rates (higher is better); everything else is
+    //!   neutral — reported when it moves, but never a failure. `--warn-values` downgrades value regressions to
     //!   warnings for hosts whose timings are not trustworthy (CI's
     //!   single-core runners).
     //!
@@ -120,7 +108,7 @@ pub mod obsdiff {
 
     use std::collections::BTreeMap;
 
-    use conform::json::Value;
+    use obs::json::Value;
 
     /// Default relative threshold, percent: moves within ±25% are noise on
     /// shared CI hosts.
@@ -147,7 +135,7 @@ pub mod obsdiff {
             || last == "vs_serial"
         {
             Direction::HigherIsBetter
-        } else if last.ends_with("_s") || last.ends_with("_us") {
+        } else if last.ends_with("_s") || last.ends_with("_us") || last.ends_with("_ns") {
             Direction::LowerIsBetter
         } else {
             Direction::Neutral
@@ -378,7 +366,7 @@ pub mod obsdiff {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use conform::json::parse;
+        use obs::json::parse;
 
         fn doc(wall: f64, speedup: f64, events: u64, threads: u64) -> Value {
             parse(&format!(
@@ -397,6 +385,10 @@ pub mod obsdiff {
         fn direction_classification() {
             assert_eq!(direction("wall_s"), Direction::LowerIsBetter);
             assert_eq!(direction("kernels.spmv.flat_us"), Direction::LowerIsBetter);
+            assert_eq!(
+                direction("dispatch.pool_run_lanes2.run_ns"),
+                Direction::LowerIsBetter
+            );
             assert_eq!(
                 direction("runs.1024.serial.events_per_s"),
                 Direction::HigherIsBetter

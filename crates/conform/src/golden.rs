@@ -419,4 +419,27 @@ mod tests {
         assert_eq!(column_tolerances(&spec), vec![0.0, 0.0]);
         assert_eq!(column_tolerances(&demo_table()), vec![0.0, 0.02]);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        // Any one corrupted byte in a real golden (disk rot, a bad merge)
+        // reads back as a value or a `ParseError`, never a panic.
+        #[test]
+        fn single_byte_mutations_of_goldens_never_panic(
+            which in 0usize..1000,
+            at in 0usize..1_000_000,
+            byte in 0u8..=255,
+        ) {
+            let mut files: Vec<_> = std::fs::read_dir(goldens_dir())
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            let mut bytes = std::fs::read(&files[which % files.len()]).unwrap();
+            let n = bytes.len();
+            bytes[at % n] = byte;
+            let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -36,8 +36,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+use obs::json::{self, escape, Value};
+
 use crate::experiments;
-use crate::report::{json_escape, Table};
+use crate::report::Table;
 use crate::runner;
 use crate::tracecache::Fnv1a;
 
@@ -123,23 +125,27 @@ pub struct JournalRecord {
     pub json: Option<String>,
 }
 
+/// A record's body: the JSON object up to, not including, the seal.
+fn record_body(r: &JournalRecord) -> String {
+    let json_field = match &r.json {
+        Some(j) => format!("\"{}\"", escape(j)),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"v\":{JOURNAL_VERSION},\"seq\":{},\"id\":\"{}\",\"attempts\":{},\"ok\":{},\"render\":\"{}\",\"json\":{}",
+        r.seq,
+        escape(&r.id),
+        r.attempts,
+        r.ok,
+        escape(&r.render),
+        json_field,
+    )
+}
+
 /// Serialise one record to its single JSONL line (no trailing newline),
 /// with the sealing checksum appended.
 fn record_line(r: &JournalRecord) -> String {
-    let json_field = match &r.json {
-        Some(j) => format!("\"{}\"", json_escape(j)),
-        None => "null".to_string(),
-    };
-    let body = format!(
-        "{{\"v\":{JOURNAL_VERSION},\"seq\":{},\"id\":\"{}\",\"attempts\":{},\"ok\":{},\"render\":\"{}\",\"json\":{}",
-        r.seq,
-        json_escape(&r.id),
-        r.attempts,
-        r.ok,
-        json_escape(&r.render),
-        json_field,
-    );
-    seal(&body)
+    seal(&record_body(r))
 }
 
 /// The campaign header line: pins the journal version and the id list,
@@ -147,7 +153,7 @@ fn record_line(r: &JournalRecord) -> String {
 fn header_line(ids: &[&str]) -> String {
     let list = ids
         .iter()
-        .map(|id| format!("\"{}\"", json_escape(id)))
+        .map(|id| format!("\"{}\"", escape(id)))
         .collect::<Vec<_>>()
         .join(",");
     seal(&format!(
@@ -183,138 +189,39 @@ fn unseal(line: &str) -> Option<&str> {
     (h.finish() == want).then_some(body)
 }
 
-// ---- a tiny strict parser -------------------------------------------------
-//
-// The journal only ever parses its own writer's output, so the reader is
-// a strict cursor over the exact field order the writer emits. Anything
-// unexpected — reordered fields, damaged escapes, foreign JSON — fails
-// the parse, and the loader treats the line exactly like a checksum
-// failure: the journal ends there.
-
-struct Scan<'a> {
-    s: &'a str,
-}
-
-impl<'a> Scan<'a> {
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        self.s = self.s.strip_prefix(lit)?;
-        Some(())
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self
-            .s
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.s.len());
-        if end == 0 {
-            return None;
-        }
-        let (num, rest) = self.s.split_at(end);
-        self.s = rest;
-        num.parse().ok()
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        if self.lit("true").is_some() {
-            Some(true)
-        } else if self.lit("false").is_some() {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// A quoted JSON string (the opening quote already consumed by the
-    /// caller's literal), unescaped.
-    fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = self.s.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.s = &self.s[i + 1..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        None
-    }
-}
-
 /// Parse a verified record body (the part [`unseal`] returns).
+///
+/// The journal only ever reads its own writer's output, so a record is
+/// accepted only if writing it again reproduces `body` byte for byte.
+/// Anything else — another version, reordered or extra fields, added
+/// whitespace, a non-canonical escape or number — fails here, and the
+/// loader treats the line exactly like a checksum failure: the journal
+/// ends there.
 fn parse_record(body: &str) -> Option<JournalRecord> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"v\":")?;
-    if sc.u64()? != u64::from(JOURNAL_VERSION) {
-        return None;
-    }
-    sc.lit(",\"seq\":")?;
-    let seq = sc.u64()?;
-    sc.lit(",\"id\":\"")?;
-    let id = sc.string_body()?;
-    sc.lit(",\"attempts\":")?;
-    let attempts = u32::try_from(sc.u64()?).ok()?;
-    sc.lit(",\"ok\":")?;
-    let ok = sc.bool()?;
-    sc.lit(",\"render\":\"")?;
-    let render = sc.string_body()?;
-    sc.lit(",\"json\":")?;
-    let json = if sc.lit("null").is_some() {
-        None
-    } else {
-        sc.lit("\"")?;
-        Some(sc.string_body()?)
+    let v = json::parse(&format!("{body}}}")).ok()?;
+    let text = |key: &str| v.get(key)?.as_str().map(str::to_string);
+    let rec = JournalRecord {
+        seq: whole(v.get("seq")?)?,
+        id: text("id")?,
+        attempts: u32::try_from(whole(v.get("attempts")?)?).ok()?,
+        ok: match v.get("ok")? {
+            Value::Bool(ok) => *ok,
+            _ => return None,
+        },
+        render: text("render")?,
+        json: match v.get("json")? {
+            Value::Null => None,
+            j => Some(j.as_str()?.to_string()),
+        },
     };
-    sc.s.is_empty().then_some(JournalRecord {
-        seq,
-        id,
-        attempts,
-        ok,
-        render,
-        json,
-    })
+    (record_body(&rec) == body).then_some(rec)
 }
 
-/// Parse a verified header body, returning the pinned id list.
-fn parse_header(body: &str) -> Option<Vec<String>> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"v\":")?;
-    if sc.u64()? != u64::from(JOURNAL_VERSION) {
-        return None;
-    }
-    sc.lit(",\"kind\":\"campaign\",\"ids\":[")?;
-    let mut ids = Vec::new();
-    if sc.lit("]").is_none() {
-        loop {
-            sc.lit("\"")?;
-            ids.push(sc.string_body()?);
-            if sc.lit(",").is_none() {
-                sc.lit("]")?;
-                break;
-            }
-        }
-    }
-    sc.s.is_empty().then_some(ids)
+/// A non-negative whole number. Values an `f64` cannot carry exactly
+/// come back rounded, which [`parse_record`]'s re-serialisation refuses.
+fn whole(v: &Value) -> Option<u64> {
+    let n = v.as_f64()?;
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
 }
 
 // ---- journal load/append --------------------------------------------------
@@ -346,8 +253,7 @@ pub fn load_journal(path: &Path, ids: &[&str]) -> Option<LoadedJournal> {
     let text = String::from_utf8_lossy(&raw);
     let mut lines = text.split_inclusive('\n');
     let header = lines.next()?;
-    let header_ids = parse_header(unseal(header.trim_end_matches('\n'))?)?;
-    if header_ids != ids {
+    if header.trim_end_matches('\n') != header_line(ids) {
         return None;
     }
     let mut out = LoadedJournal {
@@ -772,7 +678,7 @@ pub fn merged_json(outcomes: &[CampaignOutcome]) -> String {
             Some(j) => j.trim_end().to_string(),
             None => format!(
                 "{{\n  \"id\": \"{}\",\n  \"failed\": true\n}}",
-                json_escape(&o.id)
+                escape(&o.id)
             ),
         };
         // Indent each table to sit inside the array.
@@ -856,6 +762,39 @@ mod tests {
                 verified.is_none() || bad == line,
                 "flip at {pos} must not verify"
             );
+        }
+    }
+
+    #[test]
+    fn correctly_sealed_non_canonical_records_are_refused() {
+        let rec = JournalRecord {
+            seq: 1,
+            id: "t1".into(),
+            attempts: 1,
+            ok: true,
+            render: "A\n".into(),
+            json: None,
+        };
+        let body = record_body(&rec);
+        assert_eq!(parse_record(&body), Some(rec));
+        // Each variant parses as JSON to the same record, and a forger
+        // could seal it, but the writer never emits it.
+        let variants = [
+            body.replace(",\"seq\":1", ",\"seq\": 1"),
+            body.replace(",\"seq\":1", ",\"seq\":1.0"),
+            body.replace(",\"seq\":1", ",\"seq\":01"),
+            body.replace("\"render\":\"A", "\"render\":\"\\u0041"),
+            body.replace("\\n", "\\u000a"),
+            body.replace(
+                "\"id\":\"t1\",\"attempts\":1",
+                "\"attempts\":1,\"id\":\"t1\"",
+            ),
+            body.replace("{\"v\":1", "{\"v\":2"),
+            format!("{body},\"extra\":0"),
+        ];
+        for v in variants {
+            assert_ne!(v, body);
+            assert_eq!(parse_record(unseal(&seal(&v)).unwrap()), None, "{v}");
         }
     }
 

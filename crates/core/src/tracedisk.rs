@@ -19,9 +19,8 @@
 //! cost one rebuild.
 //!
 //! Encoding is a fixed little-endian byte layout written and read by
-//! hand (the workspace's `serde` is an offline marker stub). Round-trip
-//! equality is pinned by tests here and bit-transparency by the conform
-//! `campaign` suite.
+//! hand. Round-trip equality is pinned by tests here and
+//! bit-transparency by the conform `campaign` suite.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use a64fx_apps::nekbone::NekboneConfig;
-use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd};
+use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd, Journal, JournalRecord};
 use a64fx_core::report::Table;
 use a64fx_core::tracecache;
 use proptest::prelude::*;
@@ -90,6 +90,60 @@ proptest! {
             cut,
             bytes.len()
         );
+    }
+}
+
+/// A sealed five-record journal (rendered tables and table JSON, so the
+/// lines carry quotes and escaped newlines) and the records it holds.
+fn sealed_journal() -> &'static (Vec<u8>, Vec<JournalRecord>) {
+    static JOURNAL: std::sync::OnceLock<(Vec<u8>, Vec<JournalRecord>)> = std::sync::OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        let path = tmp("sealed");
+        let mut j = Journal::create(&path, &IDS).unwrap();
+        for (k, id) in IDS.iter().enumerate() {
+            let t = demo_table(id);
+            let json = (k % 2 == 0).then(|| t.to_json(&[]));
+            j.append(id, 1, json.is_some(), &t.render(), json.as_deref())
+                .unwrap();
+        }
+        drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        let records = campaign::load_journal(&path, &IDS).unwrap().records;
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(records.len(), IDS.len());
+        (bytes, records)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    // Every line is sealed with an FNV-1a digest, and a one-byte change
+    // always changes FNV-1a, so any single-byte mutation is caught exactly:
+    // in the header the whole journal is refused, in record line `i` the
+    // journal ends just before record `i`. A changed record never loads.
+    #[test]
+    fn single_byte_mutations_never_load_a_changed_record(
+        at in 0usize..1_000_000,
+        mask in 1u8..=255,
+    ) {
+        let (bytes, records) = sealed_journal();
+        let at = at % bytes.len();
+        let mut bad = bytes.clone();
+        bad[at] ^= mask;
+        let path = tmp("mutated");
+        std::fs::write(&path, &bad).unwrap();
+        let loaded = campaign::load_journal(&path, &IDS);
+        let _ = std::fs::remove_file(&path);
+        let line = bytes[..at].iter().filter(|&&b| b == b'\n').count();
+        if line == 0 {
+            prop_assert!(loaded.is_none(), "header mutation at byte {} loaded", at);
+        } else {
+            let loaded = loaded.expect("the header is intact");
+            prop_assert_eq!(&loaded.records[..], &records[..line - 1], "mutation at byte {}", at);
+            let line_start = bytes[..at].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+            prop_assert_eq!(loaded.valid_bytes, line_start as u64);
+        }
     }
 }
 

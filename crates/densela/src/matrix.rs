@@ -1,9 +1,7 @@
 //! A small column-major dense matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// Column-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DMatrix {
     rows: usize,
     cols: usize,

@@ -8,10 +8,8 @@
 //! approximation for the optimal checkpoint interval, used by the
 //! resilience experiment to pick a defensible interval per MTBF point.
 
-use serde::{Deserialize, Serialize};
-
 /// A coordinated checkpoint/restart model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointModel {
     /// Checkpoint every this many iterations (0 = never checkpoint).
     pub every_iters: u32,

@@ -22,7 +22,6 @@
 
 use crate::rng::SplitMix64;
 use archsim::SystemId;
-use serde::{Deserialize, Serialize};
 
 /// Stream labels (see [`SplitMix64::stream`]): one substream per family.
 const STREAM_CRASH: u64 = 1;
@@ -32,7 +31,7 @@ const STREAM_MEMORY: u64 = 4;
 
 /// Rates and magnitudes of the injected faults. All rates are per the
 /// *simulated* job, in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Schedule seed. Same seed ⇒ same schedule (given system and ranks).
     pub seed: u64,
@@ -112,7 +111,7 @@ impl FaultConfig {
 }
 
 /// One scheduled fault event, timestamped in simulated microseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Node `node` crashes at `at_us`; every rank on it is lost.
     NodeCrash {
@@ -146,7 +145,7 @@ impl FaultEvent {
 }
 
 /// A fully materialised fault schedule for one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// The configuration the schedule was generated from.
     pub config: FaultConfig,

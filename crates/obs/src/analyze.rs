@@ -29,8 +29,9 @@
 //! by contribution. All outputs are byte-stable: segment walks follow
 //! record order and floats render shortest-round-trip.
 
+use crate::json::escape;
+use crate::json_f64;
 use crate::mem::Span;
-use crate::{json_escape, json_f64};
 
 /// Where a slice of simulated time went. The order is fixed — JSON
 /// documents, tables and the exact-sum guarantees all follow it, with
@@ -372,11 +373,7 @@ impl Analysis {
         let mut out = String::new();
         out.push_str("{\n");
         for (k, v) in meta {
-            out.push_str(&format!(
-                "  \"{}\": \"{}\",\n",
-                json_escape(k),
-                json_escape(v)
-            ));
+            out.push_str(&format!("  \"{}\": \"{}\",\n", escape(k), escape(v)));
         }
         out.push_str(&format!(
             "  \"extent_us\": {{\"start\": {}, \"end\": {}}},\n",
@@ -409,7 +406,7 @@ impl Analysis {
             out.push_str(&format!(
                 "\n    {{\"category\": \"{}\", \"label\": \"{}\", \"us\": {}, \"share_pct\": {}, \"count\": {}}}",
                 n.category.name(),
-                json_escape(&n.label),
+                escape(&n.label),
                 json_f64(n.us),
                 json_f64(self.share_pct_of(n.us)),
                 n.count

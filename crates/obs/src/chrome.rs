@@ -11,8 +11,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::escape;
+use crate::json_f64;
 use crate::mem::{Instant, Span};
-use crate::{json_escape, json_f64};
 
 /// The trace `pid` — single simulated process.
 const PID: u32 = 1;
@@ -31,7 +32,7 @@ fn args_json(attrs: &[(String, String)]) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\": {}", json_escape(k), v));
+        out.push_str(&format!("\"{}\": {}", escape(k), v));
     }
     out.push('}');
     out
@@ -57,8 +58,8 @@ pub(crate) fn trace_json(spans: &[Span], instants: &[Instant]) -> String {
         out.push_str(&format!(
             "{{\"ph\": \"X\", \"pid\": {PID}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": {}, \"dur\": {}, \"args\": {}}}",
             tid_for(&s.cat),
-            json_escape(&s.cat),
-            json_escape(&s.name),
+            escape(&s.cat),
+            escape(&s.name),
             json_f64(s.start_us),
             json_f64(s.dur_us),
             args_json(&s.attrs)
@@ -69,8 +70,8 @@ pub(crate) fn trace_json(spans: &[Span], instants: &[Instant]) -> String {
         out.push_str(&format!(
             "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": {PID}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": {}, \"args\": {}}}",
             tid_for(&i.cat),
-            json_escape(&i.cat),
-            json_escape(&i.name),
+            escape(&i.cat),
+            escape(&i.name),
             json_f64(i.at_us),
             args_json(&i.attrs)
         ));

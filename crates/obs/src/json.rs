@@ -1,16 +1,17 @@
-//! A minimal JSON reader for the golden snapshot files.
+//! The workspace's one JSON writer helper and one JSON reader.
 //!
-//! The workspace's `serde` is an offline marker stub (no real
-//! serialisation), so the conformance harness carries its own parser for
-//! the small JSON subset the goldens use: objects with string keys,
+//! [`escape`] quotes strings for every hand-written JSON document the
+//! workspace emits (Chrome traces, metric snapshots, paper tables, the
+//! campaign journal). [`parse`] reads the small JSON subset those
+//! documents and the golden snapshots use: objects with string keys,
 //! arrays, strings, numbers, booleans and null. Object key order is
 //! preserved so diffs stay reviewable.
 //!
-//! The parser is total: any input — malformed, truncated mid-token, or
-//! binary garbage — yields a descriptive [`ParseError`] with the byte
-//! offset of the first problem, never a panic. [`parse_file`] adds the
-//! file path, so a corrupted golden reports as
-//! `goldens/t3.json: byte 124: expected ',' or '}'`.
+//! The parser is total: any input — malformed, truncated mid-token,
+//! nested deeper than 256 levels, or binary garbage — yields a
+//! descriptive [`ParseError`] with the byte offset of the first problem,
+//! never a panic. [`parse_file`] adds the file path, so a corrupted golden
+//! reports as `goldens/t3.json: byte 124: expected ',' or '}'`.
 
 use std::fmt;
 use std::path::Path;
@@ -31,6 +32,30 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a long run of `[` overflows the
+/// stack; no document the workspace reads nests more than a few levels.
+const MAX_DEPTH: usize = 256;
+
+/// Escape a string for embedding in a JSON string literal: quote,
+/// backslash, `\n`, `\r` and `\t` get their short escapes, other control
+/// characters a `\u00XX` escape, everything else passes through.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 fn err<T>(offset: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
@@ -102,7 +127,7 @@ impl Value {
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return err(pos, "trailing content after the document");
@@ -136,8 +161,11 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return err(*pos, format!("nesting deeper than {MAX_DEPTH} levels"));
+    }
     match b.get(*pos) {
         None => err(*pos, "unexpected end of input"),
         Some(b'{') => {
@@ -151,12 +179,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             loop {
                 skip_ws(b, pos);
                 let key_at = *pos;
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Value::Str(s) => s,
                     _ => return err(key_at, "object key must be a string"),
                 };
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -178,7 +206,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -229,8 +257,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
+                        // Exactly four ASCII hex digits: `from_str_radix`
+                        // alone would also take a sign (`\u+041`).
                         let hex = b
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok());
                         let code = match hex.and_then(|h| u32::from_str_radix(h, 16).ok()) {
                             Some(c) => c,
@@ -298,23 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_core_table_json() {
-        use a64fx_core::Table;
-        let mut t = Table::new("T9", "demo — dash", &["sys", "val"]);
-        t.push_row(vec!["A64FX".into(), "38.26 / 36.90 (0.96x)".into()]);
-        t.note("a \"quoted\" note");
-        let v = parse(&t.to_json(&[("tolerances", "[0, 0.02]".into())])).unwrap();
-        assert_eq!(v.get("id").unwrap().as_str(), Some("T9"));
-        assert_eq!(v.get("title").unwrap().as_str(), Some("demo — dash"));
-        assert_eq!(
-            v.get("notes").unwrap().as_str_vec().unwrap(),
-            vec!["a \"quoted\" note"]
-        );
-        let tols = v.get("tolerances").unwrap().as_arr().unwrap();
-        assert_eq!(tols[1].as_f64(), Some(0.02));
-    }
-
-    #[test]
     fn rejects_garbage_with_offsets() {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
@@ -350,6 +364,8 @@ mod tests {
             r#""bad escape \q""#,
             r#""bad unicode \u12"#,
             r#""bad unicode \uzzzz""#,
+            r#""signed unicode \u+041""#,
+            r#""signed unicode \u-041""#,
             "tru",
             "falsy",
             "nul",
@@ -365,6 +381,30 @@ mod tests {
             assert!(e.offset <= case.len(), "{case:?}: offset {}", e.offset);
             assert!(!e.message.is_empty());
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let e = parse(&deep).expect_err("unterminated deep nesting");
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        assert!(e.message.contains("nesting"), "{e}");
+        let e = parse(&"{\"a\":".repeat(100_000)).expect_err("deep objects too");
+        assert!(e.message.contains("nesting"), "{e}");
+        // Exactly the limit still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn escape_handles_controls_and_quotes_and_round_trips() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let s = "tab\t cr\r nl\n \u{1f} quote\" back\\ é";
+        let v = parse(&format!("\"{}\"", escape(s))).unwrap();
+        assert_eq!(v.as_str(), Some(s));
     }
 
     #[test]
@@ -388,16 +428,40 @@ mod tests {
     #[test]
     fn parse_file_reports_path_and_offset() {
         let dir = std::env::temp_dir();
-        let path = dir.join("conform_json_negative_test.json");
+        let path = dir.join("obs_json_negative_test.json");
         std::fs::write(&path, "{\"id\": \"T1\"").unwrap();
         let e = parse_file(&path).unwrap_err();
         assert!(
-            e.contains("conform_json_negative_test.json") && e.contains("byte"),
+            e.contains("obs_json_negative_test.json") && e.contains("byte"),
             "{e}"
         );
         std::fs::remove_file(&path).ok();
-        let missing = dir.join("conform_json_no_such_file.json");
+        let missing = dir.join("obs_json_no_such_file.json");
         let e = parse_file(&missing).unwrap_err();
-        assert!(e.contains("conform_json_no_such_file.json"), "{e}");
+        assert!(e.contains("obs_json_no_such_file.json"), "{e}");
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        // Arbitrary bytes (lossily decoded, as a reader of an untrusted
+        // file would) and random strings over JSON's own alphabet yield a
+        // value or a `ParseError`, never a panic.
+        #[test]
+        fn random_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            alphabet in proptest::collection::vec(0usize..JSONISH.len(), 0..64),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            let text: String = alphabet.iter().map(|&i| JSONISH[i]).collect();
+            let _ = parse(&text);
+        }
+    }
+
+    /// Tokens that make random inputs look like JSON often enough to reach
+    /// the parser's deeper paths.
+    const JSONISH: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', 'u', '0', '1', 'e', '-', '+', '.', ' ', 't', 'n',
+        'a', 'f',
+    ];
 }

@@ -47,6 +47,7 @@
 
 pub mod analyze;
 mod chrome;
+pub mod json;
 mod mem;
 mod metrics;
 
@@ -178,25 +179,6 @@ pub fn observe(hist: &str, value: f64) {
     with(|r| r.observe(hist, value));
 }
 
-/// Escape a string for embedding in a JSON string literal. Shared by the
-/// Chrome-trace and snapshot writers (the workspace `serde` is an offline
-/// marker stub, so `obs` carries its own serialisation).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render an `f64` for JSON: Rust's shortest round-trip formatting, with
 /// non-finite values (never produced by the simulator, but the writer must
 /// still emit valid JSON) mapped to large sentinels.
@@ -272,12 +254,6 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(!enabled(), "panic must not leak the installed recorder");
-    }
-
-    #[test]
-    fn json_escape_handles_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

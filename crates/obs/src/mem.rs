@@ -18,7 +18,7 @@ fn own_attrs(attrs: &[(&str, AttrValue)]) -> Vec<OwnedAttr> {
             let rendered = match v {
                 AttrValue::U64(u) => u.to_string(),
                 AttrValue::F64(f) => crate::json_f64(*f),
-                AttrValue::Str(s) => format!("\"{}\"", crate::json_escape(s)),
+                AttrValue::Str(s) => format!("\"{}\"", crate::json::escape(s)),
             };
             (k.to_string(), rendered)
         })

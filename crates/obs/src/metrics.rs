@@ -3,7 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{json_escape, json_f64};
+use crate::json::escape;
+use crate::json_f64;
 
 /// Number of histogram buckets. Bucket `i` (for `i >= 1`) holds values
 /// whose integer part `u` satisfies `2^(i-1) <= u < 2^i`; bucket 0 holds
@@ -238,11 +239,7 @@ impl Registry {
         let mut out = String::new();
         out.push_str("{\n");
         for (k, v) in meta {
-            out.push_str(&format!(
-                "  \"{}\": \"{}\",\n",
-                json_escape(k),
-                json_escape(v)
-            ));
+            out.push_str(&format!("  \"{}\": \"{}\",\n", escape(k), escape(v)));
         }
         out.push_str("  \"counters\": {");
         let mut first = true;
@@ -251,7 +248,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
+            out.push_str(&format!("\n    \"{}\": {}", escape(k), v));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         out.push_str("  \"gauges\": {");
@@ -261,7 +258,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(k), json_f64(*v)));
+            out.push_str(&format!("\n    \"{}\": {}", escape(k), json_f64(*v)));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         out.push_str("  \"histograms\": {");
@@ -273,7 +270,7 @@ impl Registry {
             first = false;
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"sum\": {}, ",
-                json_escape(k),
+                escape(k),
                 h.count,
                 json_f64(h.sum)
             ));

@@ -8,10 +8,9 @@
 //! on, how many cores it owns, and how many ranks share each domain.
 
 use archsim::Node;
-use serde::{Deserialize, Serialize};
 
 /// How ranks are distributed over a node's memory domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Fill domain 0's cores to capacity, then domain 1's, etc. (block
     /// placement; what you get without pinning on some MPI launchers).
@@ -22,7 +21,7 @@ pub enum PlacementPolicy {
 }
 
 /// A concrete layout of an MPI(+OpenMP) job on a system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     ranks: u32,
     ranks_per_node: u32,

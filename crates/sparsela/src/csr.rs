@@ -1,7 +1,6 @@
 //! Compressed sparse row matrices and SpMV.
 
 use densela::Work;
-use serde::{Deserialize, Serialize};
 
 const F64B: u64 = 8;
 const IDXB: u64 = 4;
@@ -9,7 +8,7 @@ const IDXB: u64 = 4;
 /// A square-or-rectangular sparse matrix in CSR format with `u32` column
 /// indices (the index width matters: SpMV traffic is 12 bytes/nnz, which is
 /// what the roofline model charges).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

@@ -15,10 +15,6 @@
 //! SELL-C-σ SpMV, and fused CG kernels ([`Team::spmv_dot`],
 //! [`Team::axpy_dot`], [`Team::xpby`]) that cut a full vector re-read per
 //! CG iteration each.
-//!
-//! [`SpawnTeam`] preserves the old spawn-a-scope-per-call implementation so
-//! the benchmarks can quantify exactly what amortising the spawn overhead
-//! buys; it is not used by any solver.
 
 use crate::cg::residual_sub_work;
 use crate::coloring::ColoredCsr;
@@ -470,172 +466,6 @@ impl Team {
     }
 }
 
-/// The pre-pool implementation: a fresh scoped thread team on **every**
-/// kernel call, exactly what `Team` used to do (with `std::thread::scope`
-/// in place of the removed crossbeam dependency). Kept so the benchmarks
-/// can measure what the persistent pool amortises away — a CG solve on a
-/// `SpawnTeam` pays 4 spawn/join cycles per iteration. Not used by any
-/// solver or app.
-#[derive(Debug, Clone, Copy)]
-pub struct SpawnTeam {
-    threads: usize,
-}
-
-impl SpawnTeam {
-    /// A spawn-per-call team of `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "a team needs at least one thread");
-        SpawnTeam { threads }
-    }
-
-    /// Workers in the team.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// SpMV with a thread scope spawned for this one call.
-    pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> Work {
-        assert_eq!(x.len(), a.cols(), "spmv: x length mismatch");
-        assert_eq!(y.len(), a.rows(), "spmv: y length mismatch");
-        if self.threads == 1 || a.rows() < 2 * self.threads {
-            return a.spmv(x, y);
-        }
-        let part = RowPartition::new(a.rows(), self.threads);
-        let mut slices: Vec<&mut [f64]> = Vec::with_capacity(self.threads);
-        let mut rest = y;
-        for t in 0..self.threads {
-            let (lo, hi) = part.range(t);
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for (t, slice) in slices.into_iter().enumerate() {
-                let (lo, _hi) = part.range(t);
-                scope.spawn(move || {
-                    for (i, out) in slice.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for (c, v) in a.row(lo + i) {
-                            acc += v * x[c];
-                        }
-                        *out = acc;
-                    }
-                });
-            }
-        });
-        a.spmv_work()
-    }
-
-    /// Dot product with a thread scope spawned for this one call.
-    pub fn dot(&self, x: &[f64], y: &[f64]) -> (f64, Work) {
-        assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        if self.threads == 1 || x.len() < 2 * self.threads {
-            return densela::vecops::dot(x, y);
-        }
-        let part = RowPartition::new(x.len(), self.threads);
-        let mut partials = vec![0.0f64; self.threads];
-        std::thread::scope(|scope| {
-            for (t, p) in partials.iter_mut().enumerate() {
-                let (lo, hi) = part.range(t);
-                scope.spawn(move || {
-                    let mut acc = 0.0;
-                    for i in lo..hi {
-                        acc += x[i] * y[i];
-                    }
-                    *p = acc;
-                });
-            }
-        });
-        let n = x.len() as u64;
-        (partials.iter().sum(), Work::new(2 * n, 16 * n, 0))
-    }
-
-    /// AXPY with a thread scope spawned for this one call.
-    pub fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) -> Work {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        if self.threads == 1 || x.len() < 2 * self.threads {
-            return densela::vecops::axpy(alpha, x, y);
-        }
-        let part = RowPartition::new(x.len(), self.threads);
-        let mut slices: Vec<&mut [f64]> = Vec::with_capacity(self.threads);
-        let mut rest = y;
-        for t in 0..self.threads {
-            let (lo, hi) = part.range(t);
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for (t, slice) in slices.into_iter().enumerate() {
-                let (lo, _) = part.range(t);
-                scope.spawn(move || {
-                    for (i, out) in slice.iter_mut().enumerate() {
-                        *out += alpha * x[lo + i];
-                    }
-                });
-            }
-        });
-        let n = x.len() as u64;
-        Work::new(2 * n, 16 * n, 8 * n)
-    }
-
-    /// The old team CG: unfused kernels, a thread scope per kernel call —
-    /// 4 spawn/join cycles per iteration. Benchmark baseline only.
-    pub fn cg_solve(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        x: &mut [f64],
-        max_iter: usize,
-        rtol: f64,
-    ) -> (usize, f64, Work) {
-        let n = b.len();
-        assert_eq!(x.len(), n);
-        let mut work = Work::ZERO;
-        let (bnorm_sq, w) = self.dot(b, b);
-        work += w;
-        let bnorm = bnorm_sq.sqrt();
-        if bnorm == 0.0 {
-            x.fill(0.0);
-            return (0, 0.0, work);
-        }
-        let mut r = vec![0.0; n];
-        work += self.spmv(a, x, &mut r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
-        work += residual_sub_work(n);
-        let mut p = r.clone();
-        let (mut rr, w) = self.dot(&r, &r);
-        work += w;
-        let mut ap = vec![0.0; n];
-        let mut iters = 0;
-        let mut rel = rr.sqrt() / bnorm;
-        while iters < max_iter && rel > rtol {
-            iters += 1;
-            work += self.spmv(a, &p, &mut ap);
-            let (pap, w) = self.dot(&p, &ap);
-            work += w;
-            if pap <= 0.0 {
-                break;
-            }
-            let alpha = rr / pap;
-            work += self.axpy(alpha, &p, x);
-            work += self.axpy(-alpha, &ap, &mut r);
-            let (rr_new, w) = self.dot(&r, &r);
-            work += w;
-            let beta = rr_new / rr;
-            rr = rr_new;
-            rel = rr.sqrt() / bnorm;
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
-            }
-            work += Work::new(2 * n as u64, 16 * n as u64, 8 * n as u64);
-        }
-        (iters, rel, work)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,21 +690,6 @@ mod tests {
         assert_eq!(w1, w2);
         for (u, v) in x1.iter().zip(&x2) {
             assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn spawn_team_still_matches_serial_mathematics() {
-        // The legacy baseline must stay correct to be a fair benchmark.
-        let a = poisson7(5, 5, 5);
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let mut b = vec![0.0; a.rows()];
-        a.spmv(&x_true, &mut b);
-        let mut x = vec![0.0; a.rows()];
-        let (_, rel, _) = SpawnTeam::new(4).cg_solve(&a, &b, &mut x, 400, 1e-10);
-        assert!(rel <= 1e-10, "rel {rel}");
-        for (got, want) in x.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-6);
         }
     }
 

@@ -11,8 +11,6 @@
 //!   paper's exact load-imbalance arithmetic (800 blocks on 768 ranks ⇒ 32
 //!   ranks carry 2 blocks).
 
-use serde::{Deserialize, Serialize};
-
 /// Factor `p` into three factors (px, py, pz) as close to a cube as
 /// possible, preferring px ≥ py ≥ pz (the HPCG `GenerateGeometry` approach).
 pub fn factor3(p: usize) -> (usize, usize, usize) {
@@ -40,7 +38,7 @@ pub fn factor3(p: usize) -> (usize, usize, usize) {
 }
 
 /// One rank's sub-box in a 3-D decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block3d {
     /// Rank coordinates in the process grid.
     pub coords: (usize, usize, usize),
@@ -65,7 +63,7 @@ impl Block3d {
 }
 
 /// A 3-D block decomposition of a global `nx × ny × nz` grid over `p` ranks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition3d {
     /// Process-grid shape.
     pub pgrid: (usize, usize, usize),
@@ -204,7 +202,7 @@ impl Partition3d {
 }
 
 /// Contiguous row partition of an `n`-row matrix over `p` ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPartition {
     n: usize,
     p: usize,
@@ -249,7 +247,7 @@ impl RowPartition {
 /// Round-robin distribution of `blocks` equally sized grid blocks over `p`
 /// ranks — COSA's decomposition. Exposes the exact imbalance the paper
 /// discusses for 800 blocks on 768 or 1024 ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockPartition {
     /// Total number of blocks in the simulation.
     pub blocks: usize,
