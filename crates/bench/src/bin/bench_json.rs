@@ -194,8 +194,9 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// Time one full repro run (all experiments through the isolated runner,
-/// trace cache on) and write the result as JSON to `path`.
+/// Time one full repro run (every experiment through the campaign pool
+/// `repro --all` uses, trace cache on) and write the result as JSON to
+/// `path`.
 fn bench_repro(path: &str) {
     use a64fx_core::{campaign, runner, tracecache};
     use simmpi::collcache;
@@ -206,12 +207,15 @@ fn bench_repro(path: &str) {
     let coll0 = collcache::stats();
     let camp0 = campaign::stats();
     let t0 = Instant::now();
-    let outcomes = runner::run_all_isolated(threads, runner::resolve_deadline(None));
+    let cfg = campaign::CampaignConfig::new(threads, runner::resolve_deadline(None));
+    let outcomes = campaign::run_campaign(&cfg, None, false)
+        .expect("a campaign without a journal does no I/O")
+        .outcomes;
     let wall_s = t0.elapsed().as_secs_f64();
     let trace1 = tracecache::stats();
     let coll1 = collcache::stats();
     let camp1 = campaign::stats();
-    let failed = outcomes.iter().filter(|o| o.failed()).count();
+    let failed = outcomes.iter().filter(|o| !o.ok).count();
     let per_exp: Vec<String> = outcomes
         .iter()
         .map(|o| {
@@ -219,7 +223,7 @@ fn bench_repro(path: &str) {
                 "    {{\"id\": \"{}\", \"wall_s\": {:.3}, \"failed\": {}}}",
                 o.id,
                 o.elapsed.as_secs_f64(),
-                o.failed(),
+                !o.ok,
             )
         })
         .collect();

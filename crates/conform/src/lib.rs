@@ -7,10 +7,11 @@
 //!   diffs regenerated tables cell by cell and renders a reviewable report
 //!   on drift. Re-blessing (`cargo run -p conform -- --bless`) is the one
 //!   sanctioned way to move a golden.
-//! * [`differential`] — the analytic collective cost models are pitted
-//!   against the message-level discrete-event simulation across topology
-//!   families, message sizes spanning the algorithm-selection crossover,
-//!   and rank placements, with bounded relative error.
+//! * [`differential`] — the analytic allreduce model is pitted against
+//!   the engine-driven discrete-event simulation of the same hierarchical
+//!   algorithm across topology families, message sizes spanning the
+//!   algorithm-selection crossover, and rank placements, with bounded
+//!   relative error.
 //! * [`parity`] — serial and persistent-pool kernels are forced to 2/4/8
 //!   configured threads and held to the runtime's bit-identity and
 //!   repeat-determinism promises.

@@ -5,7 +5,7 @@
 //!
 //! 1. **Bit-identity.** For every cell of the differential sweep (all four
 //!    topology families × three placements × five message sizes), the
-//!    backend-routed [`simmpi::desval::allreduce_des`] must produce the
+//!    backend-routed [`simmpi::desval::allreduce_des_stats`] must produce the
 //!    same `f64`, bit for bit, on the serial queue and on the sharded
 //!    engine at 2 and 4 shards — and the shard-invariant run statistics
 //!    (event and window counts) must match exactly. This is the engine's

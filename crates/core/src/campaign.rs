@@ -411,6 +411,9 @@ pub struct CampaignOutcome {
     pub render: String,
     /// The table JSON for successful outcomes.
     pub json: Option<String>,
+    /// Wall time of the experiment's final attempt in this process; zero
+    /// when replayed from the journal (which does not record it).
+    pub elapsed: Duration,
 }
 
 /// Whether the campaign ran to completion or was stopped by the
@@ -511,6 +514,7 @@ pub fn run_campaign_with(
                                     from_journal: true,
                                     render: r.render.clone(),
                                     json: r.json.clone(),
+                                    elapsed: Duration::ZERO,
                                 },
                             );
                         } else {
@@ -633,6 +637,7 @@ pub fn run_campaign_with(
                     from_journal: false,
                     json: o.result.as_ref().ok().map(|t| t.to_json(&[])),
                     render,
+                    elapsed: o.elapsed,
                 },
             );
         }
@@ -959,6 +964,7 @@ mod tests {
             from_journal: false,
             render: String::new(),
             json: Some(demo_table("a").to_json(&[])),
+            elapsed: Duration::ZERO,
         };
         let bad = CampaignOutcome {
             id: "b".into(),
@@ -967,11 +973,44 @@ mod tests {
             from_journal: false,
             render: String::new(),
             json: None,
+            elapsed: Duration::ZERO,
         };
         let m = merged_json(&[ok, bad]);
         assert!(m.contains("\"experiments\": 2"));
         assert!(m.contains("\"failed\": 1"));
         assert!(m.contains("\"failed\": true"));
         assert!(m.ends_with("]\n}\n"), "{m}");
+    }
+
+    #[test]
+    fn full_campaign_matches_the_serial_run_in_paper_order_at_any_worker_count() {
+        let serial: Vec<CampaignOutcome> = experiments::run_all()
+            .into_iter()
+            .map(|t| CampaignOutcome {
+                id: t.id.clone(),
+                ok: true,
+                attempts: 1,
+                from_journal: false,
+                render: t.render(),
+                json: Some(t.to_json(&[])),
+                elapsed: Duration::ZERO,
+            })
+            .collect();
+        let expected = merged_json(&serial);
+        for workers in [1usize, 2, 100] {
+            let cfg = CampaignConfig::new(workers, runner::DEFAULT_DEADLINE);
+            let result = run_campaign(&cfg, None, false).unwrap();
+            assert_eq!(result.end, CampaignEnd::Completed);
+            let ids: Vec<&str> = result.outcomes.iter().map(|o| o.id.as_str()).collect();
+            assert_eq!(
+                ids,
+                experiments::all_ids(),
+                "{workers} workers: paper order"
+            );
+            for (o, s) in result.outcomes.iter().zip(&serial) {
+                assert_eq!(o.render, s.render, "{workers} workers: {}", o.id);
+            }
+            assert_eq!(merged_json(&result.outcomes), expected, "{workers} workers");
+        }
     }
 }

@@ -1,25 +1,20 @@
-//! Parallel experiment runner, hardened against misbehaving experiments.
+//! Isolated experiment execution and the run-configuration resolvers.
 //!
-//! The experiments are independent simulations; this module fans them out
-//! over a `std::thread::scope` worker team so `repro --all` regenerates the
-//! whole paper in roughly the time of its slowest artefact. The worker
-//! count is bounded by `available_parallelism` (oversubscribing a small
-//! machine with one solver thread per experiment just thrashes), and
-//! workers pull experiment indices from a shared atomic queue. Results land
-//! in per-experiment slots, so the output order is always paper order
-//! regardless of which worker ran what.
-//!
-//! Each experiment additionally runs **isolated**: behind
+//! Each experiment runs **isolated**: on its own thread, behind
 //! `catch_unwind` and a wall-clock deadline, so one panicking or hung
 //! experiment yields a FAILED entry instead of killing the whole `repro`
-//! run ([`run_isolated`], [`run_all_isolated`]).
+//! run ([`run_isolated`], [`run_isolated_observed`]). The worker pool that
+//! fans every experiment out and returns them in paper order is
+//! [`crate::campaign::run_campaign`], the engine behind `repro --all`.
+//!
+//! The `resolve_*` functions turn a flag, an environment variable and a
+//! default into one setting (threads, deadline, DES backend, pricing),
+//! warning on garbage environment values instead of refusing to run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::experiments;
 use crate::report::Table;
 
 /// Default wall-clock budget for one experiment. Generous: the slowest
@@ -310,96 +305,10 @@ where
     }
 }
 
-/// Run every experiment isolated (see [`run_isolated`]) on at most
-/// `workers` queue workers, returning outcomes in paper order. A failed
-/// experiment occupies its slot with a FAILED outcome; the rest still run.
-pub fn run_all_isolated(workers: usize, deadline: Duration) -> Vec<ExperimentOutcome> {
-    let ids = experiments::all_ids();
-    let workers = workers.clamp(1, ids.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExperimentOutcome>>> =
-        ids.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let work = |_w: usize| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            // Copy out the `&'static str` so the isolated closure is 'static.
-            let Some(&id) = ids.get(i) else { break };
-            let outcome = run_isolated(id, deadline, move || {
-                experiments::run_one(id).expect("known id")
-            });
-            // A worker that panicked between lock and store poisons the
-            // slot mutex; recovering the guard keeps one bad experiment
-            // from cascading into every later `.lock().unwrap()` and
-            // taking down the whole campaign summary.
-            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-        };
-        let mut handles = Vec::with_capacity(workers - 1);
-        for w in 1..workers {
-            handles.push(scope.spawn(move || work(w)));
-        }
-        work(0);
-        for h in handles {
-            if h.join().is_err() {
-                // run_isolated never panics itself, but be safe.
-                panic!("experiment worker panicked");
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
-/// Run every experiment concurrently on at most `available_parallelism`
-/// workers, returning them in paper order.
-pub fn run_all_parallel() -> Vec<Table> {
-    run_all_parallel_bounded(densela::pool::available_parallelism())
-}
-
-/// Run every experiment concurrently on at most `workers` worker threads
-/// (at least one), returning them in paper order.
-///
-/// # Panics
-/// Panics if any experiment fails; use [`run_all_isolated`] to degrade to
-/// FAILED entries instead.
-pub fn run_all_parallel_bounded(workers: usize) -> Vec<Table> {
-    run_all_isolated(workers, DEFAULT_DEADLINE)
-        .into_iter()
-        .map(|o| match o.result {
-            Ok(t) => t,
-            Err(why) => panic!("experiment {} failed: {why}", o.id),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_run_matches_serial_order_and_content() {
-        let par = run_all_parallel();
-        let ser = experiments::run_all();
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.id, s.id, "order must be paper order");
-            assert_eq!(p, s, "{}: parallel and serial runs must agree", p.id);
-        }
-    }
-
-    #[test]
-    fn bounded_run_matches_for_any_worker_count() {
-        let ser = experiments::run_all();
-        for workers in [1usize, 2, 100] {
-            let par = run_all_parallel_bounded(workers);
-            assert_eq!(par, ser, "{workers} workers");
-        }
-    }
+    use crate::experiments;
 
     #[test]
     fn parse_threads_accepts_positive_integers() {

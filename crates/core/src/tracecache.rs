@@ -809,6 +809,14 @@ mod tests {
         clear();
         let rebuilt = nekbone(cfg, 3);
         let after_corrupt = stats();
+        // Misfile a valid 2-rank trace under the 3-rank key: the next cold
+        // fetch must refuse it too, not hand a 2-rank trace to a 3-rank job.
+        nekbone(cfg, 2);
+        let misfiled = crate::tracedisk::file_path(&dir, "nekbone", cfg.fingerprint(), 2);
+        std::fs::copy(&misfiled, &path).unwrap();
+        clear();
+        let rebuilt_misfiled = nekbone(cfg, 3);
+        let after_misfiled = stats();
         set_disk_dir(None);
         clear_override();
         let _ = std::fs::remove_dir_all(&dir);
@@ -817,6 +825,14 @@ mod tests {
             "{after_corrupt:?}"
         );
         assert_eq!(*fresh, *rebuilt, "corruption must fall back to rebuild");
+        assert!(
+            after_misfiled.disk_corrupt > after_corrupt.disk_corrupt,
+            "{after_misfiled:?}"
+        );
+        assert_eq!(
+            *fresh, *rebuilt_misfiled,
+            "a misfiled trace must be rebuilt"
+        );
     }
 
     #[test]

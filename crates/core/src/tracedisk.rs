@@ -372,7 +372,9 @@ pub fn store(dir: &Path, app: &str, fingerprint: u64, ranks: u32, t: &Trace) -> 
 }
 
 /// Load the trace for a key from `dir`, distinguishing a plain miss
-/// ([`LoadError::Missing`]) from a refused file.
+/// ([`LoadError::Missing`]) from a refused file. A valid trace built for
+/// another rank count (a file copied or renamed under this key's name) is
+/// refused as [`LoadError::Corrupt`], so the caller rebuilds it.
 pub fn load(dir: &Path, app: &str, fingerprint: u64, ranks: u32) -> Result<Trace, LoadError> {
     let path = file_path(dir, app, fingerprint, ranks);
     let bytes = match std::fs::read(&path) {
@@ -380,7 +382,14 @@ pub fn load(dir: &Path, app: &str, fingerprint: u64, ranks: u32) -> Result<Trace
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
         Err(e) => return Err(LoadError::Io(e.to_string())),
     };
-    decode(&bytes)
+    let t = decode(&bytes)?;
+    if t.ranks != ranks {
+        return Err(LoadError::Corrupt(format!(
+            "trace built for {} ranks filed under r{ranks}",
+            t.ranks
+        )));
+    }
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -459,6 +468,24 @@ mod tests {
             load(&dir, "hpcg", 0xabcd, 6),
             Err(LoadError::Corrupt(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_valid_trace_misfiled_under_another_rank_count_is_refused() {
+        let dir = temp_dir("misfiled");
+        let t = hpcg::trace(hpcg::HpcgConfig::paper(), 24);
+        store(&dir, "hpcg", 0xabcd, 24, &t).unwrap();
+        std::fs::copy(
+            file_path(&dir, "hpcg", 0xabcd, 24),
+            file_path(&dir, "hpcg", 0xabcd, 48),
+        )
+        .unwrap();
+        match load(&dir, "hpcg", 0xabcd, 48) {
+            Err(LoadError::Corrupt(why)) => assert!(why.contains("24 ranks"), "{why}"),
+            other => panic!("a misfiled trace must be Corrupt, got {other:?}"),
+        }
+        assert_eq!(load(&dir, "hpcg", 0xabcd, 24).unwrap(), t);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -217,12 +217,6 @@ impl<T> EventQueue<T> {
         seq
     }
 
-    /// Schedule `payload` at `delay_us` after the current virtual time.
-    pub fn schedule_after(&mut self, delay_us: f64, payload: T) {
-        let now = self.now_us;
-        self.schedule_at(now + delay_us.max(0.0), payload);
-    }
-
     /// Timestamp of the earliest pending event without popping it, or
     /// `None` when the queue is empty. Does not advance virtual time —
     /// the conservative-lookahead loop uses this to compute each window's
@@ -307,16 +301,6 @@ mod tests {
         assert_eq!(q.now_us(), 10.0);
         q.pop();
         assert_eq!(q.now_us(), 20.0);
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10.0, "first");
-        q.pop();
-        q.schedule_after(5.0, "second");
-        let e = q.pop().unwrap();
-        assert_eq!(e.time_us, 15.0);
     }
 
     #[test]
@@ -432,15 +416,6 @@ mod tests {
         assert_eq!(order, vec!["a", "b"]);
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.popped_total(), 2);
-    }
-
-    #[test]
-    fn negative_delay_clamps_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10.0, ());
-        q.pop();
-        q.schedule_after(-3.0, ());
-        assert_eq!(q.pop().unwrap().time_us, 10.0);
     }
 }
 

@@ -31,7 +31,6 @@ pub struct Network {
     eject: Vec<InjectionChannel>,
     messages: u64,
     bytes: u128,
-    congestion: f64,
     /// Failure-aware delivery state. `None` (the default) is the exact
     /// pre-fault code path; an installed-but-empty schedule must price
     /// every transfer bit-identically to `None`.
@@ -58,7 +57,6 @@ impl Network {
             eject: vec![InjectionChannel::new(); nodes],
             messages: 0,
             bytes: 0,
-            congestion: 1.0,
             faults: None,
         }
     }
@@ -80,29 +78,6 @@ impl Network {
     /// The installed fault layer, if any (retry/exhaustion statistics).
     pub fn faults(&self) -> Option<&LinkFaults> {
         self.faults.as_ref()
-    }
-
-    /// Set the fabric congestion factor in `(0, 1]` applied to inter-node
-    /// transfers until the next call (or [`Network::reset`]). The endpoint
-    /// channels model NIC serialisation but not the switch fabric's
-    /// narrowest cut; message-level simulations of dense phases (every node
-    /// injecting at once, e.g. the wire leg of a large allreduce) set this
-    /// to the topology's bisection factor so sustained per-node bandwidth
-    /// is derated the way the analytic models assume.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn set_congestion(&mut self, factor: f64) {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "congestion factor must be in (0, 1], got {factor}"
-        );
-        self.congestion = factor;
-    }
-
-    /// The current fabric congestion factor (1.0 = uncongested).
-    pub fn congestion(&self) -> f64 {
-        self.congestion
     }
 
     /// The topology in use.
@@ -160,8 +135,7 @@ impl Network {
         if obs::enabled() {
             obs::observe("net.hops", f64::from(hops));
         }
-        let wire_us =
-            bytes as f64 / (self.link.injection_bw_gbs() * self.congestion * degrade * 1e3);
+        let wire_us = bytes as f64 / (self.link.injection_bw_gbs() * degrade * 1e3);
         let header_us = self.link.latency_us + f64::from(hops) * self.link.per_hop_us;
         let handshake = if bytes >= self.link.rendezvous_cutover_bytes {
             header_us
@@ -203,7 +177,6 @@ impl Network {
         }
         self.messages = 0;
         self.bytes = 0;
-        self.congestion = 1.0;
     }
 }
 
@@ -295,29 +268,6 @@ mod tests {
         assert!(net.topology().num_nodes() >= 48);
         // Striped injection: TofuD drives multiple links at once.
         assert!(net.link().injection_bw_gbs() > net.link().bandwidth_gbs);
-    }
-
-    #[test]
-    fn congestion_derates_inter_node_but_not_shm() {
-        let mut net = edr(4);
-        let free = net.transfer(0, 1, 1 << 20, 0.0);
-        let shm_free = net.transfer(2, 2, 1 << 20, 0.0);
-        net.reset();
-        net.set_congestion(0.5);
-        let congested = net.transfer(0, 1, 1 << 20, 0.0);
-        let shm_congested = net.transfer(2, 2, 1 << 20, 0.0);
-        assert!(congested > 1.5 * free, "{congested} vs {free}");
-        assert_eq!(shm_free, shm_congested, "intra-node copies see no fabric");
-        // reset() restores the uncongested fabric.
-        net.reset();
-        assert_eq!(net.congestion(), 1.0);
-        assert!((net.transfer(0, 1, 1 << 20, 0.0) - free).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "congestion factor")]
-    fn zero_congestion_rejected() {
-        edr(2).set_congestion(0.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //!   `(time, seq)` anyway, delivery order cannot leak scheduling noise.
 //!
 //! The conform `des` suite pins serial-vs-sharded bit-identity on every
-//! desval sweep; the proptests below pin the merged pop order against the
+//! cell of the differential allreduce sweep; the proptests below pin the merged pop order against the
 //! serial queue for random streams and shard counts.
 
 use crate::des::EventQueue;

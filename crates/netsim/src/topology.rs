@@ -67,9 +67,13 @@ impl Torus6d {
         Torus6d { dims }
     }
 
-    /// The TofuD layout for an `n`-node system: fills the unit-group
-    /// dimensions (2, 3, 2) first, then extends x, y, z as needed. The
-    /// 48-node A64FX test system becomes a 2×2×1 arrangement of unit groups.
+    /// The TofuD layout for an `n`-node system: `ceil(n / 12)` unit groups
+    /// of shape (a, b, c) = 2×3×2, with the group count factored exactly
+    /// into x·y·z as close to a cube as its divisors allow (a prime count
+    /// becomes a ring). Node ids vary x fastest (see `coords`), so
+    /// consecutive ids step across unit groups and the unit-group axes
+    /// vary slowest. The 48-node A64FX test system becomes a 1×2×2
+    /// arrangement of unit groups.
     pub fn tofu_d(n: usize) -> Self {
         assert!(n > 0, "need at least one node");
         let group = 12; // 2*3*2 unit group

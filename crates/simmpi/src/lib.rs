@@ -16,8 +16,8 @@
 //!   allgather/alltoall with hierarchical (intra-node + inter-node)
 //!   decomposition and size-dependent algorithm selection, mirroring real
 //!   MPI implementations.
-//! * [`desval`] — message-level discrete-event simulations of the same
-//!   collectives, used to validate the analytic models.
+//! * [`desval`] — the hierarchical allreduce on the `netsim` event
+//!   engine, used to validate the analytic model.
 //! * [`collcache`] — process-wide hit/miss counters for the per-`World`
 //!   collective-time memo tables.
 

@@ -7,9 +7,9 @@
 //! ```
 
 use a64fx_repro::archsim::InterconnectKind;
-use a64fx_repro::netsim::{build_topology, Network};
+use a64fx_repro::netsim::{build_topology, DesBackend, Network};
 use a64fx_repro::simmpi::collectives::allreduce_time_us;
-use a64fx_repro::simmpi::desval::allreduce_recursive_doubling_des;
+use a64fx_repro::simmpi::desval::allreduce_des_stats;
 
 fn main() {
     let kinds = [
@@ -56,10 +56,9 @@ fn main() {
     println!("\nCross-check: message-level DES vs analytic model (16 nodes, 8 B):");
     for kind in kinds {
         let placement: Vec<usize> = (0..16).collect();
-        let mut net = Network::new(kind, 16);
-        let des = allreduce_recursive_doubling_des(&mut net, &placement, 8);
-        let net2 = Network::new(kind, 16);
-        let analytic = allreduce_time_us(&net2, &placement, 8);
+        let net = Network::new(kind, 16);
+        let (des, _) = allreduce_des_stats(&net, &placement, 8, DesBackend::Serial);
+        let analytic = allreduce_time_us(&net, &placement, 8);
         println!(
             "  {:<16} DES {des:>7.2} us   analytic {analytic:>7.2} us   ratio {:.2}",
             kind.name(),
