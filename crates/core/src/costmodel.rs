@@ -19,7 +19,7 @@ use a64fx_apps::trace::{Phase, Trace, WorkDist};
 use a64fx_apps::KernelClass;
 use archsim::{EcmModel, SystemId, SystemSpec, Toolchain};
 use densela::Work;
-use simmpi::{Placement, PlacementPolicy, World};
+use simmpi::{P2pPlan, Placement, PlacementPolicy, World};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -161,8 +161,9 @@ impl ExecutionResult {
 }
 
 /// A trace priced for one (system, toolchain, calibration, placement):
-/// every compute phase carries its per-rank durations, computed once by
-/// [`Executor::price`] and reused across iterations.
+/// every compute phase carries its per-rank durations and every halo phase
+/// its routed messages, computed once by [`Executor::price`] and reused
+/// across iterations.
 ///
 /// Pricing is iteration-invariant — the roofline in
 /// [`Executor`] reads only static world state (placement geometry,
@@ -172,16 +173,27 @@ impl ExecutionResult {
 /// order. Straggler stretching and dead-rank skipping still happen
 /// inside [`World::compute`], so a priced trace stays valid across fault
 /// injection and ULFM shrink (price *after* [`World::install_faults`] so
-/// memory derates are seen).
+/// memory derates are seen). Routes likewise hold only the issue-time-
+/// independent part of each message; message drops, retries and link
+/// degradation still apply per delivery.
 pub struct PricedTrace<'t> {
     prologue: Vec<PricedPhase<'t>>,
     body: Vec<PricedPhase<'t>>,
 }
 
-/// One phase plus, for compute phases, its per-rank priced durations (µs).
+/// One phase plus what pricing precomputed for it.
 struct PricedPhase<'t> {
     phase: &'t Phase,
-    times: Option<Vec<f64>>,
+    priced: Priced,
+}
+
+enum Priced {
+    /// Per-rank compute durations, µs.
+    Compute(Vec<f64>),
+    /// The halo's messages, routed.
+    Halo(P2pPlan),
+    /// Collectives, barriers and overheads: priced at replay.
+    AtReplay,
 }
 
 /// Replays traces on one simulated system with one toolchain.
@@ -318,9 +330,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Price every compute phase of `trace` against `world`, once. The
-    /// world must be the one the priced trace will be replayed onto (in
-    /// particular, price *after* [`World::install_faults`]).
+    /// Price every compute phase and route every halo phase of `trace`
+    /// against `world`, once. The world must be the one the priced trace
+    /// will be replayed onto (in particular, price *after*
+    /// [`World::install_faults`]).
     pub fn price<'t>(&self, trace: &'t Trace, world: &World) -> PricedTrace<'t> {
         PricedTrace {
             prologue: self.price_phases(&trace.prologue, world),
@@ -332,7 +345,7 @@ impl<'a> Executor<'a> {
         phases
             .iter()
             .map(|phase| {
-                let times = match phase {
+                let priced = match phase {
                     Phase::Compute {
                         class,
                         work,
@@ -343,11 +356,12 @@ impl<'a> Executor<'a> {
                         for r in 0..n {
                             times.push(self.compute_time_us(world, r, *class, work, *ws_bytes));
                         }
-                        Some(times)
+                        Priced::Compute(times)
                     }
-                    _ => None,
+                    Phase::Halo { pairs } => Priced::Halo(world.plan_halo(pairs)),
+                    _ => Priced::AtReplay,
                 };
-                PricedPhase { phase, times }
+                PricedPhase { phase, priced }
             })
             .collect()
     }
@@ -394,21 +408,23 @@ impl<'a> Executor<'a> {
         let trace_spans = obs::enabled();
         for pp in phases {
             let before = if trace_spans { world.now_us(0) } else { 0.0 };
-            match pp.phase {
-                Phase::Compute { class, .. } => {
-                    let times = pp.times.as_deref().expect("compute phases are priced");
+            match (pp.phase, &pp.priced) {
+                (Phase::Compute { class, .. }, Priced::Compute(times)) => {
                     for (r, &us) in times.iter().enumerate() {
                         compute_us[r] += us;
                     }
                     *profile.entry(*class).or_insert(0.0) += times[0];
                     world.compute_all(times);
                 }
-                Phase::Allreduce { bytes } => world.allreduce(*bytes),
-                Phase::Halo { pairs } => world.halo_exchange(pairs),
-                Phase::Alltoall { bytes_per_pair } => world.alltoall(*bytes_per_pair),
-                Phase::Allgather { bytes } => world.allgather(*bytes),
-                Phase::Barrier => world.barrier(),
-                Phase::Overhead { us } => world.compute_uniform(*us),
+                (Phase::Halo { .. }, Priced::Halo(plan)) => world.exchange_planned(plan),
+                (Phase::Compute { .. } | Phase::Halo { .. }, _) => {
+                    unreachable!("compute and halo phases are priced")
+                }
+                (Phase::Allreduce { bytes }, _) => world.allreduce(*bytes),
+                (Phase::Alltoall { bytes_per_pair }, _) => world.alltoall(*bytes_per_pair),
+                (Phase::Allgather { bytes }, _) => world.allgather(*bytes),
+                (Phase::Barrier, _) => world.barrier(),
+                (Phase::Overhead { us }, _) => world.compute_uniform(*us),
             }
             if trace_spans {
                 // Rank-0 view of the phase — the same interval and label

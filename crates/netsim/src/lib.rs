@@ -32,6 +32,6 @@ pub mod topology;
 
 pub use contention::InjectionChannel;
 pub use des::{Event, EventQueue};
-pub use network::{Network, NodeId};
+pub use network::{Network, NodeId, Route, RouteTally};
 pub use shard::{DesBackend, RunStats, ShardPlan, ShardedEventQueue};
 pub use topology::{build_topology, Dragonfly, FatTree, Topology, Torus6d};

@@ -1,8 +1,10 @@
 //! The network facade: topology + link parameters + per-node injection and
 //! ejection channels.
 //!
-//! `simmpi` calls [`Network::transfer`] with (source node, destination node,
-//! bytes, issue time) and receives the completion time. Intra-node transfers
+//! `simmpi` prices each (source node, destination node, bytes) message once
+//! with [`Network::route`] and then calls [`Network::deliver`] with the
+//! route and an issue time to receive the completion time;
+//! [`Network::transfer`] does both in one call. Intra-node transfers
 //! are modelled as shared-memory copies at a fixed high bandwidth and sub-
 //! microsecond latency — this matters for the paper's single-node multi-rank
 //! benchmarks, where "MPI" messages never touch the wire.
@@ -35,6 +37,73 @@ pub struct Network {
     /// pre-fault code path; an installed-but-empty schedule must price
     /// every transfer bit-identically to `None`.
     faults: Option<LinkFaults>,
+}
+
+/// The issue-time-independent part of one point-to-point transfer,
+/// priced by [`Network::route`] and consumed by [`Network::deliver`].
+#[derive(Debug, Clone, Copy)]
+pub struct Route {
+    src: NodeId,
+    dst: NodeId,
+    bytes: u64,
+    hops: u32,
+    /// NIC occupancy at full bandwidth (shared-memory copy time when
+    /// `src == dst`), µs.
+    wire_us: f64,
+    /// Latency plus per-hop switching, µs.
+    header_us: f64,
+    /// Rendezvous handshake before the payload moves (0 below the eager
+    /// cutover), µs.
+    handshake_us: f64,
+}
+
+/// Message, byte and hop totals over a batch of delivered routes, recorded
+/// into the ambient recorder in one go: `net.msg`, `net.bytes` and one
+/// `net.hops` observation per inter-node message — the same metrics as
+/// recording each message on its own.
+#[derive(Debug, Default)]
+pub struct RouteTally {
+    msgs: u64,
+    bytes: u64,
+    /// Inter-node messages by hop count.
+    hops: Vec<u64>,
+}
+
+impl RouteTally {
+    /// Count one delivered route.
+    pub fn count(&mut self, route: &Route) {
+        self.msgs += 1;
+        self.bytes += route.bytes;
+        if route.src != route.dst {
+            let h = route.hops as usize;
+            if self.hops.len() <= h {
+                self.hops.resize(h + 1, 0);
+            }
+            self.hops[h] += 1;
+        }
+    }
+
+    /// Messages counted.
+    pub fn msgs(&self) -> u64 {
+        self.msgs
+    }
+
+    /// Payload bytes counted.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Record the totals; records nothing when no message was counted.
+    pub fn record(&self) {
+        if self.msgs == 0 {
+            return;
+        }
+        obs::add("net.msg", self.msgs);
+        obs::add("net.bytes", self.bytes);
+        for (h, &n) in self.hops.iter().enumerate() {
+            obs::observe_n("net.hops", h as f64, n);
+        }
+    }
 }
 
 impl Network {
@@ -100,18 +169,56 @@ impl Network {
         }
     }
 
-    /// Schedule a transfer issued at `issue_us`; returns its completion time
-    /// including injection/ejection contention at both endpoints.
-    pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, issue_us: f64) -> f64 {
-        self.messages += 1;
-        self.bytes += u128::from(bytes);
-        if obs::enabled() {
-            obs::add("net.msg", 1);
-            obs::add("net.bytes", bytes);
-        }
+    /// Price the part of a `src` → `dst` transfer of `bytes` that does not
+    /// depend on when it is issued: the hop count and the wire, header and
+    /// rendezvous-handshake times. Pure; a route stays valid for the
+    /// network's lifetime, so callers that send the same message many
+    /// times route it once and [`Network::deliver`] it each time.
+    pub fn route(&self, src: NodeId, dst: NodeId, bytes: u64) -> Route {
         if src == dst {
-            // Intra-node: no NIC involvement.
-            return issue_us + SHM_LATENCY_US + bytes as f64 / (SHM_BW_GBS * 1e3);
+            // Intra-node: a shared-memory copy, no NIC involvement.
+            return Route {
+                src,
+                dst,
+                bytes,
+                hops: 0,
+                wire_us: bytes as f64 / (SHM_BW_GBS * 1e3),
+                header_us: 0.0,
+                handshake_us: 0.0,
+            };
+        }
+        let hops = self.topo.hops(src, dst);
+        let header_us = self.link.latency_us + f64::from(hops) * self.link.per_hop_us;
+        Route {
+            src,
+            dst,
+            bytes,
+            hops,
+            wire_us: self.wire_us(bytes, 1.0),
+            header_us,
+            handshake_us: if bytes >= self.link.rendezvous_cutover_bytes {
+                header_us
+            } else {
+                0.0
+            },
+        }
+    }
+
+    /// Time `bytes` occupy a NIC whose bandwidth is scaled by `degrade`.
+    fn wire_us(&self, bytes: u64, degrade: f64) -> f64 {
+        bytes as f64 / (self.link.injection_bw_gbs() * degrade * 1e3)
+    }
+
+    /// Deliver a routed message issued at `issue_us`; returns its
+    /// completion time including injection/ejection contention at both
+    /// endpoints. Only the NIC reservations and the fault adjustments
+    /// happen here — everything issue-time-independent was priced by
+    /// [`Network::route`].
+    pub fn deliver(&mut self, route: &Route, issue_us: f64) -> f64 {
+        self.messages += 1;
+        self.bytes += u128::from(route.bytes);
+        if route.src == route.dst {
+            return issue_us + SHM_LATENCY_US + route.wire_us;
         }
         // Failure-aware delivery: lost attempts delay the send by the
         // retry policy's timeout+backoff, and a degraded endpoint NIC
@@ -119,33 +226,38 @@ impl Network {
         // installed-but-empty schedule (no drops, factor 1.0) — both
         // adjustments are exact identities.
         let mut issue_us = issue_us;
-        let mut degrade = 1.0;
+        let mut wire_us = route.wire_us;
         if let Some(f) = &mut self.faults {
             let failures = f.next_message_failures();
             if failures > 0 {
                 issue_us += f.retry_penalty_us(failures);
                 obs::add("net.retries", u64::from(failures));
             }
-            degrade = f.path_factor(src, dst, issue_us);
+            let degrade = f.path_factor(route.src, route.dst, issue_us);
             if degrade < 1.0 {
                 obs::add("net.degraded_transfers", 1);
             }
+            if degrade != 1.0 {
+                wire_us = self.wire_us(route.bytes, degrade);
+            }
         }
-        let hops = self.topo.hops(src, dst);
-        if obs::enabled() {
-            obs::observe("net.hops", f64::from(hops));
-        }
-        let wire_us = bytes as f64 / (self.link.injection_bw_gbs() * degrade * 1e3);
-        let header_us = self.link.latency_us + f64::from(hops) * self.link.per_hop_us;
-        let handshake = if bytes >= self.link.rendezvous_cutover_bytes {
-            header_us
-        } else {
-            0.0
-        };
         // Occupy the source NIC for the wire time, then the destination NIC.
-        let inject_done = self.inject[src].reserve(issue_us + handshake, wire_us);
-        let eject_done = self.eject[dst].reserve(inject_done + header_us - wire_us, wire_us);
-        eject_done.max(inject_done + header_us)
+        let inject_done = self.inject[route.src].reserve(issue_us + route.handshake_us, wire_us);
+        let eject_done =
+            self.eject[route.dst].reserve(inject_done + route.header_us - wire_us, wire_us);
+        eject_done.max(inject_done + route.header_us)
+    }
+
+    /// Route and deliver one transfer issued at `issue_us`, recording it
+    /// into the ambient recorder; returns its completion time.
+    pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, issue_us: f64) -> f64 {
+        let route = self.route(src, dst, bytes);
+        if obs::enabled() {
+            let mut tally = RouteTally::default();
+            tally.count(&route);
+            tally.record();
+        }
+        self.deliver(&route, issue_us)
     }
 
     /// An effective per-node bandwidth (GB/s) for dense global traffic
@@ -386,7 +498,129 @@ mod proptests {
         ]
     }
 
+    /// The single-call transfer formula `route` + `deliver` replaced,
+    /// kept verbatim (minus metrics) as the bit-identity reference.
+    struct Reference {
+        topo: Box<dyn Topology>,
+        link: LinkParams,
+        inject: Vec<InjectionChannel>,
+        eject: Vec<InjectionChannel>,
+        faults: Option<LinkFaults>,
+        messages: u64,
+        bytes: u128,
+    }
+
+    impl Reference {
+        fn new(kind: InterconnectKind, nodes: usize, faults: Option<LinkFaults>) -> Self {
+            Reference {
+                topo: build_topology(kind, nodes),
+                link: kind.default_link(),
+                inject: vec![InjectionChannel::new(); nodes],
+                eject: vec![InjectionChannel::new(); nodes],
+                faults,
+                messages: 0,
+                bytes: 0,
+            }
+        }
+
+        fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, issue_us: f64) -> f64 {
+            self.messages += 1;
+            self.bytes += u128::from(bytes);
+            if src == dst {
+                return issue_us + SHM_LATENCY_US + bytes as f64 / (SHM_BW_GBS * 1e3);
+            }
+            let mut issue_us = issue_us;
+            let mut degrade = 1.0;
+            if let Some(f) = &mut self.faults {
+                let failures = f.next_message_failures();
+                if failures > 0 {
+                    issue_us += f.retry_penalty_us(failures);
+                }
+                degrade = f.path_factor(src, dst, issue_us);
+            }
+            let hops = self.topo.hops(src, dst);
+            let wire_us = bytes as f64 / (self.link.injection_bw_gbs() * degrade * 1e3);
+            let header_us = self.link.latency_us + f64::from(hops) * self.link.per_hop_us;
+            let handshake = if bytes >= self.link.rendezvous_cutover_bytes {
+                header_us
+            } else {
+                0.0
+            };
+            let inject_done = self.inject[src].reserve(issue_us + handshake, wire_us);
+            let eject_done = self.eject[dst].reserve(inject_done + header_us - wire_us, wire_us);
+            eject_done.max(inject_done + header_us)
+        }
+    }
+
+    /// Fault mode 0: none installed; 1: an empty schedule; 2: message
+    /// drops plus two degraded-NIC windows.
+    fn fault_layer(mode: u8, nodes: usize, seed: u64) -> Option<LinkFaults> {
+        use faultsim::{FaultEvent, FaultSchedule, RetryPolicy};
+        let mut sched = FaultSchedule::none(archsim::SystemId::A64fx, nodes as u32, nodes);
+        match mode {
+            0 => return None,
+            1 => {}
+            _ => {
+                sched.config.seed = seed;
+                sched.config.msg_drop_prob = 0.3;
+                sched.events.push(FaultEvent::LinkDegrade {
+                    node: 0,
+                    from_us: 0.0,
+                    until_us: 40.0,
+                    factor: 0.5,
+                });
+                sched.events.push(FaultEvent::LinkDegrade {
+                    node: nodes - 1,
+                    from_us: 20.0,
+                    until_us: 1e4,
+                    factor: 0.25,
+                });
+            }
+        }
+        Some(LinkFaults::new(sched, RetryPolicy::default_policy()))
+    }
+
     proptest! {
+        #[test]
+        fn route_then_deliver_is_bit_identical_to_the_single_call_formula(
+            kind_idx in 0usize..5,
+            nodes in 2usize..16,
+            mode in 0u8..3,
+            seed in 0u64..1000,
+            msgs in proptest::collection::vec(
+                (0usize..16, 0usize..16, 0u8..2, 0u64..100_000, 0.0f64..10.0),
+                1..40,
+            ),
+        ) {
+            let kind = kinds()[kind_idx];
+            let mut net = Network::new(kind, nodes);
+            if let Some(f) = fault_layer(mode, nodes, seed) {
+                net.set_faults(f);
+            }
+            let mut reference = Reference::new(kind, nodes, fault_layer(mode, nodes, seed));
+            let cutover = net.link().rendezvous_cutover_bytes;
+            let mut issue = 0.0;
+            for (i, (s, d, side, delta, dt)) in msgs.into_iter().enumerate() {
+                // Every fourth message is intra-node; the rest may be too.
+                let (src, dst) = (s % nodes, if i % 4 == 0 { s % nodes } else { d % nodes });
+                // Payloads on both sides of the eager/rendezvous cutover.
+                let bytes = if side == 0 {
+                    cutover.saturating_sub(1 + delta)
+                } else {
+                    cutover + delta
+                };
+                let route = net.route(src, dst, bytes);
+                let got = net.deliver(&route, issue);
+                let want = reference.transfer(src, dst, bytes, issue);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "message {} ({} -> {}, {} B)", i, src, dst, bytes);
+                issue += dt;
+            }
+            prop_assert_eq!(net.message_count(), reference.messages);
+            prop_assert_eq!(net.byte_count(), reference.bytes);
+            let stats = |f: Option<&LinkFaults>| f.map(|f| (f.retries(), f.exhausted()));
+            prop_assert_eq!(stats(net.faults()), stats(reference.faults.as_ref()));
+        }
+
         #[test]
         fn flight_time_monotone_in_bytes(
             kind_idx in 0usize..5,

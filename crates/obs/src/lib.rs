@@ -96,6 +96,11 @@ pub trait Recorder: Send + Sync {
 
     /// Record one observation into a fixed log2-bucket histogram.
     fn observe(&self, hist: &str, value: f64);
+
+    /// Record `n` observations of the same `value`: the same histogram as
+    /// `n` calls of [`Recorder::observe`] for integer values (whose float
+    /// sum is exact). `n == 0` records nothing.
+    fn observe_n(&self, hist: &str, value: f64, n: u64);
 }
 
 /// The zero-cost default: records nothing and reports itself disabled, so
@@ -112,6 +117,7 @@ impl Recorder for NoopRecorder {
     fn add(&self, _: &str, _: u64) {}
     fn gauge_max(&self, _: &str, _: f64) {}
     fn observe(&self, _: &str, _: f64) {}
+    fn observe_n(&self, _: &str, _: f64, _: u64) {}
 }
 
 thread_local! {
@@ -177,6 +183,11 @@ pub fn gauge_max(gauge: &str, value: f64) {
 /// Ambient [`Recorder::observe`].
 pub fn observe(hist: &str, value: f64) {
     with(|r| r.observe(hist, value));
+}
+
+/// Ambient [`Recorder::observe_n`].
+pub fn observe_n(hist: &str, value: f64, n: u64) {
+    with(|r| r.observe_n(hist, value, n));
 }
 
 /// Render an `f64` for JSON: Rust's shortest round-trip formatting, with

@@ -196,6 +196,14 @@ impl Recorder for MemRecorder {
     fn observe(&self, hist: &str, value: f64) {
         self.inner.lock().unwrap().registry.observe(hist, value);
     }
+
+    fn observe_n(&self, hist: &str, value: f64, n: u64) {
+        self.inner
+            .lock()
+            .unwrap()
+            .registry
+            .observe_n(hist, value, n);
+    }
 }
 
 #[cfg(test)]

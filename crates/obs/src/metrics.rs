@@ -58,6 +58,16 @@ impl Histogram {
         self.buckets[bucket_index(value)] += 1;
     }
 
+    /// Record `n` observations of `value` at once. For integer `value`
+    /// (with every partial sum below 2^53) this equals `n` calls of
+    /// [`Histogram::observe`] exactly: the float sum has no rounding to
+    /// reorder.
+    pub fn observe_n(&mut self, value: f64, n: u64) {
+        self.count += n;
+        self.sum += value * n as f64;
+        self.buckets[bucket_index(value)] += n;
+    }
+
     /// Mean observed value, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -142,23 +152,33 @@ impl Registry {
 
     /// Add `delta` to the named counter (created at 0 on first use).
     pub fn add(&mut self, counter: &str, delta: u64) {
-        *self.counters.entry(counter.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, counter, 0, |c| *c += delta);
     }
 
     /// Raise the named high-water gauge to at least `value`.
     pub fn gauge_max(&mut self, gauge: &str, value: f64) {
-        let g = self.gauges.entry(gauge.to_string()).or_insert(f64::MIN);
-        if value > *g {
-            *g = value;
-        }
+        update(&mut self.gauges, gauge, f64::MIN, |g| {
+            if value > *g {
+                *g = value;
+            }
+        });
     }
 
     /// Record one observation into the named histogram.
     pub fn observe(&mut self, hist: &str, value: f64) {
-        self.histograms
-            .entry(hist.to_string())
-            .or_default()
-            .observe(value);
+        update(&mut self.histograms, hist, Histogram::default(), |h| {
+            h.observe(value)
+        });
+    }
+
+    /// Record `n` observations of `value` into the named histogram (see
+    /// [`Histogram::observe_n`]). `n == 0` creates no histogram.
+    pub fn observe_n(&mut self, hist: &str, value: f64, n: u64) {
+        if n > 0 {
+            update(&mut self.histograms, hist, Histogram::default(), |h| {
+                h.observe_n(value, n)
+            });
+        }
     }
 
     /// Current value of a counter, if it exists.
@@ -337,6 +357,20 @@ impl Registry {
     }
 }
 
+/// Apply `f` to the value under `key`, starting from `init` if absent.
+/// The key is looked up by `&str`, so the common case — the metric
+/// already exists — allocates no `String`.
+fn update<V>(map: &mut BTreeMap<String, V>, key: &str, init: V, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => {
+            let mut v = init;
+            f(&mut v);
+            map.insert(key.to_string(), v);
+        }
+    }
+}
+
 /// Map a metric name onto the Prometheus charset: `[a-zA-Z0-9_:]`, with a
 /// leading underscore prepended if the name would start with a digit.
 pub fn sanitize_metric_name(name: &str) -> String {
@@ -386,6 +420,37 @@ mod tests {
         assert_eq!(h.buckets[2], 1);
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.max_bucket(), Some(4));
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observe_for_integers() {
+        for v in [0.0, 1.0, 3.0, 7.0, 12.0, 1024.0, 123_456.0] {
+            for n in [0u64, 1, 2, 5, 48, 1000] {
+                let mut once = Histogram::default();
+                once.observe(2.0); // a prior observation the batch adds onto
+                let mut many = once.clone();
+                once.observe_n(v, n);
+                for _ in 0..n {
+                    many.observe(v);
+                }
+                assert_eq!(once.count, many.count, "v={v} n={n}");
+                assert_eq!(once.sum.to_bits(), many.sum.to_bits(), "v={v} n={n}");
+                assert_eq!(once.buckets, many.buckets, "v={v} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn observe_n_of_zero_creates_no_histogram() {
+        let mut r = Registry::new();
+        r.observe_n("h", 3.0, 0);
+        assert!(r.histogram("h").is_none());
+        assert!(r.is_empty());
+        r.observe_n("h", 3.0, 4);
+        assert_eq!(r.histogram("h").unwrap().count, 4);
+        let rec = std::sync::Arc::new(crate::MemRecorder::new());
+        crate::with_recorder(rec.clone(), || crate::observe_n("h", 3.0, 0));
+        assert!(rec.histogram("h").is_none());
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub mod world;
 
 pub use collectives::{allreduce_time_us, alltoall_time_us, bcast_time_us, CollectiveAlgorithm};
 pub use placement::{Placement, PlacementPolicy};
-pub use world::World;
+pub use world::{P2pPlan, World};

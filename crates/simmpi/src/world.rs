@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use archsim::Node;
 use faultsim::{FaultSchedule, LinkFaults, RetryPolicy};
-use netsim::Network;
+use netsim::{Network, Route, RouteTally};
 
 use crate::collcache;
 use crate::collectives;
@@ -68,6 +68,23 @@ pub struct World {
     /// [`World::set_coll_cache_cap`]). Eviction is bit-transparent: a
     /// re-computed entry is the identical `f64`.
     coll_cache_cap: usize,
+    /// Per-rank arrival scratch for [`World::exchange_planned`], kept so
+    /// an exchange allocates nothing.
+    arrivals: Vec<f64>,
+}
+
+/// Point-to-point messages routed by [`World::plan_halo`], in posting
+/// order.
+#[derive(Debug)]
+pub struct P2pPlan {
+    msgs: Vec<PlannedMsg>,
+}
+
+#[derive(Debug)]
+struct PlannedMsg {
+    src: u32,
+    dst: u32,
+    route: Route,
 }
 
 /// Default `coll_cache` entry bound. The paper's workloads memoize tens
@@ -101,6 +118,7 @@ impl World {
             coll_cache: HashMap::new(),
             coll_tick: 0,
             coll_cache_cap: DEFAULT_COLL_CACHE_CAP,
+            arrivals: Vec::with_capacity(n),
         }
     }
 
@@ -305,48 +323,87 @@ impl World {
         }
     }
 
+    /// Route a symmetric halo — every `(a, b, bytes)` pair exchanges
+    /// `bytes` in both directions, `a → b` first — once, for
+    /// [`World::exchange_planned`] to deliver as often as needed. A plan
+    /// depends only on the placement and the network, neither of which
+    /// changes over the world's lifetime, so it stays valid across fault
+    /// installation and shrink.
+    pub fn plan_halo(&self, pairs: &[(u32, u32, u64)]) -> P2pPlan {
+        let mut msgs = Vec::with_capacity(pairs.len() * 2);
+        for &(a, b, bytes) in pairs {
+            msgs.push(self.plan_msg(a, b, bytes));
+            msgs.push(self.plan_msg(b, a, bytes));
+        }
+        P2pPlan { msgs }
+    }
+
+    fn plan_msg(&self, src: u32, dst: u32, bytes: u64) -> PlannedMsg {
+        PlannedMsg {
+            src,
+            dst,
+            route: self.net.route(
+                self.node_map[src as usize],
+                self.node_map[dst as usize],
+                bytes,
+            ),
+        }
+    }
+
     /// Perform a set of point-to-point exchanges: `(src, dst, bytes)`
     /// triples, all logically concurrent (posted at each sender's current
     /// time). Receivers' clocks advance to the arrival of their last
     /// message; senders pay a small software overhead per message.
     pub fn exchange(&mut self, msgs: &[(u32, u32, u64)]) {
-        const SEND_OVERHEAD_US: f64 = 0.2;
-        let mut arrivals: Vec<f64> = self.clock_us.clone();
-        for &(src, dst, bytes) in msgs {
-            let s = src as usize;
-            let d = dst as usize;
-            // A message to or from a shrunk-away rank is never posted, so
-            // it also never touches the network's retry stream.
-            if !self.alive[s] || !self.alive[d] {
-                continue;
-            }
-            let done =
-                self.net
-                    .transfer(self.node_map[s], self.node_map[d], bytes, self.clock_us[s]);
-            self.clock_us[s] += SEND_OVERHEAD_US;
-            arrivals[d] = arrivals[d].max(done);
-            if obs::enabled() {
-                obs::add("mpi.p2p.msgs", 1);
-                obs::add("mpi.p2p.bytes", bytes);
-            }
-        }
-        for (r, &arr) in arrivals.iter().enumerate() {
-            if arr > self.clock_us[r] {
-                self.wait_us[r] += arr - self.clock_us[r];
-                self.clock_us[r] = arr;
-            }
-        }
+        let plan = P2pPlan {
+            msgs: msgs
+                .iter()
+                .map(|&(src, dst, bytes)| self.plan_msg(src, dst, bytes))
+                .collect(),
+        };
+        self.exchange_planned(&plan);
     }
 
     /// A symmetric halo exchange: every `(a, b, bytes)` pair exchanges
     /// `bytes` in both directions.
     pub fn halo_exchange(&mut self, pairs: &[(u32, u32, u64)]) {
-        let mut msgs = Vec::with_capacity(pairs.len() * 2);
-        for &(a, b, bytes) in pairs {
-            msgs.push((a, b, bytes));
-            msgs.push((b, a, bytes));
+        let plan = self.plan_halo(pairs);
+        self.exchange_planned(&plan);
+    }
+
+    /// Deliver a routed exchange (see [`World::exchange`]) made by this
+    /// world's [`World::plan_halo`].
+    pub fn exchange_planned(&mut self, plan: &P2pPlan) {
+        const SEND_OVERHEAD_US: f64 = 0.2;
+        self.arrivals.clear();
+        self.arrivals.extend_from_slice(&self.clock_us);
+        let mut tally = obs::enabled().then(RouteTally::default);
+        for m in &plan.msgs {
+            let s = m.src as usize;
+            let d = m.dst as usize;
+            // A message to or from a shrunk-away rank is never posted, so
+            // it also never touches the network's retry stream.
+            if !self.alive[s] || !self.alive[d] {
+                continue;
+            }
+            let done = self.net.deliver(&m.route, self.clock_us[s]);
+            self.clock_us[s] += SEND_OVERHEAD_US;
+            self.arrivals[d] = self.arrivals[d].max(done);
+            if let Some(t) = &mut tally {
+                t.count(&m.route);
+            }
         }
-        self.exchange(&msgs);
+        for (r, &arr) in self.arrivals.iter().enumerate() {
+            if arr > self.clock_us[r] {
+                self.wait_us[r] += arr - self.clock_us[r];
+                self.clock_us[r] = arr;
+            }
+        }
+        if let Some(t) = tally.filter(|t| t.msgs() > 0) {
+            obs::add("mpi.p2p.msgs", t.msgs());
+            obs::add("mpi.p2p.bytes", t.bytes());
+            t.record();
+        }
     }
 
     fn synchronise(&mut self) -> f64 {
@@ -945,6 +1002,81 @@ mod tests {
         // Each sync point contributes one wait observation per live rank.
         let waits = rec.histogram("mpi.sync_wait_us").unwrap();
         assert_eq!(waits.count, 16, "2 sync points x 8 ranks");
+    }
+
+    #[test]
+    fn traced_halo_records_the_same_metrics_as_per_message_recording() {
+        // 8 TofuD nodes x 2 ranks: one intra-node pair and inter-node
+        // pairs at several hop distances, exchanged twice.
+        let pairs = [
+            (0u32, 1u32, 100u64),
+            (0, 2, 4096),
+            (1, 15, 1 << 20),
+            (3, 8, 8),
+            (5, 12, 64 * 1024),
+            (6, 7, 0),
+        ];
+        let run = |w: &mut World| {
+            w.halo_exchange(&pairs);
+            w.compute(3, 50.0);
+            w.halo_exchange(&pairs);
+            w.halo_exchange(&[]);
+            (0..w.ranks()).map(|r| w.now_us(r)).collect::<Vec<_>>()
+        };
+        let plain = run(&mut world(8, 2));
+        let rec = std::sync::Arc::new(obs::MemRecorder::new());
+        let traced = obs::with_recorder(rec.clone(), || run(&mut world(8, 2)));
+        for (x, y) in plain.iter().zip(&traced) {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "recording must be pure observation"
+            );
+        }
+
+        // The expectation, one message at a time.
+        let w = world(8, 2);
+        let map = w.placement().node_map();
+        let (mut msgs, mut bytes) = (0u64, 0u64);
+        let mut hops = obs::Histogram::default();
+        for _ in 0..2 {
+            for &(a, b, n) in &pairs {
+                for (s, d) in [(a, b), (b, a)] {
+                    msgs += 1;
+                    bytes += n;
+                    let (sn, dn) = (map[s as usize], map[d as usize]);
+                    if sn != dn {
+                        hops.observe(f64::from(w.network().topology().hops(sn, dn)));
+                    }
+                }
+            }
+        }
+        assert!(
+            hops.count < msgs,
+            "the pattern includes intra-node messages"
+        );
+        assert!(
+            hops.buckets.iter().filter(|&&c| c > 0).count() >= 2,
+            "the pattern spans several hop distances: {:?}",
+            hops.buckets
+        );
+        for name in ["mpi.p2p.msgs", "net.msg"] {
+            assert_eq!(rec.counter(name), Some(msgs), "{name}");
+        }
+        for name in ["mpi.p2p.bytes", "net.bytes"] {
+            assert_eq!(rec.counter(name), Some(bytes), "{name}");
+        }
+        let got = rec
+            .histogram("net.hops")
+            .expect("inter-node messages observed");
+        assert_eq!(got.count, hops.count);
+        assert_eq!(got.sum.to_bits(), hops.sum.to_bits());
+        assert_eq!(got.buckets, hops.buckets);
+
+        // An exchange that delivers nothing creates no metric at all.
+        let empty = std::sync::Arc::new(obs::MemRecorder::new());
+        obs::with_recorder(empty.clone(), || world(8, 2).halo_exchange(&[]));
+        assert!(empty.registry().is_empty());
     }
 
     #[test]
