@@ -16,6 +16,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A timestamped event with payload `T`.
 #[derive(Debug, Clone)]
@@ -62,6 +63,28 @@ fn time_key(time_us: f64) -> u64 {
     (time_us + 0.0).to_bits()
 }
 
+/// Hashes a [`time_key`] with one multiply, folding the product's high
+/// half (which every key bit reaches) into the low bits the table indexes
+/// by. The keys come from the simulation, not from an adversary, and the
+/// map is never iterated, so its order cannot reach any output.
+#[derive(Default)]
+struct TimeKeyHasher(u64);
+
+impl Hasher for TimeKeyHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("time keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A priority queue of events ordered by (time, sequence).
 ///
 /// Scheduling at a time already pending costs one hash lookup; at a new
@@ -83,7 +106,7 @@ pub struct EventQueue<T> {
     /// Keys of every later pending time, earliest on top.
     keys: BinaryHeap<Reverse<u64>>,
     /// Events at every later pending time, unsorted within a bucket.
-    later: HashMap<u64, Vec<Event<T>>>,
+    later: HashMap<u64, Vec<Event<T>>, BuildHasherDefault<TimeKeyHasher>>,
     /// Emptied buckets, kept for their allocations.
     spare: Vec<Vec<Event<T>>>,
     next_seq: u64,
@@ -113,7 +136,7 @@ impl<T> EventQueue<T> {
             head: VecDeque::with_capacity(capacity),
             head_key: 0,
             keys: BinaryHeap::new(),
-            later: HashMap::new(),
+            later: HashMap::default(),
             spare: Vec::new(),
             next_seq: 0,
             now_us: 0.0,

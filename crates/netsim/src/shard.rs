@@ -256,15 +256,17 @@ struct OutMsg<T> {
     dst_shard: usize,
     time_us: f64,
     seq: u64,
-    entity: usize,
+    entity: u32,
     payload: T,
 }
 
 /// One partition: its event queue, its outbox, and its run counters.
 /// Counters aggregate here because pool worker lanes have no ambient obs
-/// recorder (it is thread-local); the coordinator emits the totals.
+/// recorder (it is thread-local); the coordinator emits the totals. Queued
+/// events carry their entity as `u32` (the engine refuses larger plans),
+/// which keeps an event with a 4-byte payload at 24 bytes.
 struct Shard<T> {
-    queue: EventQueue<(usize, T)>,
+    queue: EventQueue<(u32, T)>,
     outbox: Vec<OutMsg<T>>,
     events: u64,
     cross: u64,
@@ -279,7 +281,7 @@ pub struct Ctx<'a, S, T> {
     plan: &'a ShardPlan,
     states: &'a SharedSlice<'a, S>,
     emit_counts: &'a SharedSlice<'a, u64>,
-    queue: &'a mut EventQueue<(usize, T)>,
+    queue: &'a mut EventQueue<(u32, T)>,
     outbox: &'a mut Vec<OutMsg<T>>,
     cross: &'a mut u64,
     window_end_us: f64,
@@ -347,9 +349,11 @@ impl<S, T> Ctx<'_, S, T> {
         let k = *counter;
         *counter += 1;
         let seq = derived_seq(self.entity, k);
+        // `shard_of` bounds `dst` by the plan, which fits `u32`.
         let dst_shard = self.plan.shard_of(dst);
         if dst_shard == self.shard_idx {
-            self.queue.schedule_with_seq(time_us, seq, (dst, payload));
+            self.queue
+                .schedule_with_seq(time_us, seq, (dst as u32, payload));
         } else {
             assert!(
                 time_us >= self.window_end_us,
@@ -362,7 +366,7 @@ impl<S, T> Ctx<'_, S, T> {
                 dst_shard,
                 time_us,
                 seq,
-                entity: dst,
+                entity: dst as u32,
                 payload,
             });
         }
@@ -391,11 +395,17 @@ impl<T: Send> ShardedEventQueue<T> {
     ///
     /// # Panics
     /// Panics if `lookahead_us` is not finite and positive — a zero
-    /// lookahead would make the window loop unable to guarantee progress.
+    /// lookahead would make the window loop unable to guarantee progress —
+    /// or if the plan has more than `u32::MAX` entities.
     pub fn new(plan: ShardPlan, lookahead_us: f64) -> Self {
         assert!(
             lookahead_us.is_finite() && lookahead_us > 0.0,
             "lookahead must be a positive finite time, got {lookahead_us}"
+        );
+        assert!(
+            plan.entities() <= u32::MAX as usize,
+            "{} entities do not fit the engine's u32 entity ids",
+            plan.entities()
         );
         let shards = (0..plan.shards())
             .map(|_| Shard {
@@ -452,7 +462,7 @@ impl<T: Send> ShardedEventQueue<T> {
         let shard = self.plan.shard_of(entity);
         self.shards[shard]
             .queue
-            .schedule_with_seq(time_us, seq, (entity, payload));
+            .schedule_with_seq(time_us, seq, (entity as u32, payload));
     }
 
     /// Total pending events across all shards.
@@ -626,6 +636,7 @@ fn process_window<S, T, F>(
     while queue.peek_time_us().is_some_and(|t| t < window_end_us) {
         let ev = queue.pop().expect("peeked event pops");
         let (entity, payload) = ev.payload;
+        let entity = entity as usize;
         debug_assert_eq!(plan.shard_of(entity), shard_idx, "event routed off-shard");
         processed += 1;
         let mut ctx = Ctx {

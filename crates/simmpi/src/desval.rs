@@ -10,8 +10,10 @@
 //! and D1 hold the closed forms to it. This is what keeps the fast
 //! analytic path honest.
 
+use archsim::LinkParams;
+use densela::KernelPool;
 use netsim::shard::{Ctx, DesBackend, RunStats, ShardedEventQueue};
-use netsim::Network;
+use netsim::{Network, Topology};
 
 /// One round of a leader's pairwise-exchange schedule: an optional send of
 /// `bytes` to `(dst leader, dst round index)` issued on entering the round,
@@ -79,12 +81,6 @@ impl Schedule {
                 }
             }
         }
-    }
-
-    /// The longest schedule of any leader: leader 0's, as it is never
-    /// folded and is the first to take a pre-round.
-    fn max_rounds(self) -> u32 {
-        self.rounds(0)
     }
 
     /// Round `r` of `rank`'s schedule; `r < self.rounds(rank)`.
@@ -157,64 +153,209 @@ impl Schedule {
     }
 }
 
-/// Message payload of the engine-driven leader allreduce.
+/// Message payload of the engine-driven leader allreduce. A schedule has
+/// at most `2 * usize::BITS + 2` rounds, so a round index fits 16 bits;
+/// that keeps the message at 4 bytes and a queued `(u32 entity,
+/// LeaderMsg)` event at 24.
 #[derive(Debug, Clone, Copy)]
 enum LeaderMsg {
     /// Root event: the leader enters round 0 at time zero.
     Start,
     /// A partner's chunk for the given round index arrived.
-    Arrive(u32),
+    Arrive(u16),
 }
 
-/// Per-leader progress through its exchange schedule.
+const _: () = assert!(std::mem::size_of::<netsim::Event<(u32, LeaderMsg)>>() == 24);
+
+/// Per-leader progress through its exchange schedule. At Fugaku scale the
+/// leaders' states are the simulation's working set, so this is kept to
+/// 48 bytes on a 64-bit host.
 #[derive(Debug)]
-struct LeaderState<'a> {
+struct LeaderState {
     clock: f64,
     round: u32,
     sent: bool,
-    /// Arrival time per round, this leader's chunk of one array shared by
-    /// all leaders; NaN = not yet.
-    arrived: &'a mut [f64],
+    /// Arrival time for the current round; NaN = not yet.
+    now: f64,
+    /// Arrivals for later rounds, as `(round, time)`. A partner can run a
+    /// round ahead, but rarely: D1's 131072-leader row has 398 such
+    /// arrivals among 2,228,224, so this almost always stays empty and
+    /// unallocated.
+    early: Vec<(u32, f64)>,
 }
 
-/// Advance leader `e` through its schedule as far as buffered arrivals
-/// allow: each round's send is issued once at the clock the leader entered
-/// with, and an expected round is left only when its arrival is in —
-/// `clock = max(clock, arrival)`, the LogGP dependency rule.
-fn pump_leader<F>(
-    ctx: &mut Ctx<'_, LeaderState<'_>, LeaderMsg>,
-    e: usize,
+impl LeaderState {
+    fn new() -> Self {
+        LeaderState {
+            clock: 0.0,
+            round: 0,
+            sent: false,
+            now: f64::NAN,
+            early: Vec::new(),
+        }
+    }
+
+    /// Record a partner's chunk for `round` arriving at `t`: into `now` for
+    /// the current round, into `early` for a later one.
+    ///
+    /// # Panics
+    /// Panics on a duplicate: an arrival for a past round, or for a round
+    /// already filled or buffered.
+    fn record(&mut self, round: u32, t: f64) {
+        if round == self.round && self.now.is_nan() {
+            self.now = t;
+            return;
+        }
+        assert!(
+            round > self.round && self.early.iter().all(|&(r, _)| r != round),
+            "duplicate arrival for round {round} (leader in round {})",
+            self.round
+        );
+        self.early.push((round, t));
+    }
+
+    /// Leave the current round for the next, taking its arrival from
+    /// `early` if it came ahead.
+    fn advance(&mut self) {
+        self.round += 1;
+        self.sent = false;
+        self.now = match self.early.iter().position(|&(r, _)| r == self.round) {
+            Some(i) => self.early.swap_remove(i).1,
+            None => f64::NAN,
+        };
+    }
+}
+
+/// The inter-node leg of one allreduce: the leaders (leader `e` sits on
+/// node `nodes[e]`), their exchange schedule, and the flight pricing every
+/// message shares.
+struct LeaderLeg<'n> {
+    nodes: Vec<usize>,
     schedule: Schedule,
-    node_of_leader: &[usize],
-    flight: &F,
-) where
-    F: Fn(usize, usize, u64) -> f64,
-{
-    let rounds = schedule.rounds(e);
+    topo: &'n dyn Topology,
+    link: LinkParams,
+    /// Share of the injection bandwidth a message gets: the topology's
+    /// bisection factor under Rabenseifner, 1 under recursive doubling.
+    fabric: f64,
+}
+
+impl<'n> LeaderLeg<'n> {
+    /// The leg over `nodes` (distinct, at least two) running the algorithm
+    /// the analytic model selects for `bytes`.
+    fn new(net: &'n Network, nodes: Vec<usize>, bytes: u64) -> Self {
+        let (schedule, fabric) = match crate::collectives::select_algorithm(bytes) {
+            crate::collectives::CollectiveAlgorithm::RecursiveDoubling => {
+                (Schedule::doubling(nodes.len(), bytes), 1.0)
+            }
+            crate::collectives::CollectiveAlgorithm::Ring => (
+                Schedule::rabenseifner(nodes.len(), bytes),
+                net.topology().bisection_factor(),
+            ),
+        };
+        LeaderLeg {
+            nodes,
+            schedule,
+            topo: net.topology(),
+            link: net.link(),
+            fabric,
+        }
+    }
+
+    /// Contention-free flight of a `chunk`-byte message from leader `from`
+    /// to leader `to` over their actual hop count.
+    fn flight(&self, from: usize, to: usize, chunk: u64) -> f64 {
+        let link = &self.link;
+        let hops = self.topo.hops(self.nodes[from], self.nodes[to]);
+        let base = link.latency_us + f64::from(hops) * link.per_hop_us;
+        let wire = chunk as f64 / (link.injection_bw_gbs() * self.fabric * 1e3);
+        if chunk >= link.rendezvous_cutover_bytes {
+            2.0 * base + wire
+        } else {
+            base + wire
+        }
+    }
+
+    /// An engine for `backend` with every leader's start queued, and a
+    /// pool to run it on.
+    fn engine(&self, backend: DesBackend) -> (ShardedEventQueue<LeaderMsg>, KernelPool) {
+        // Every cross-shard flight is a wire flight (leaders sit on
+        // distinct nodes), so the link latency is a sound lookahead.
+        let mut engine =
+            ShardedEventQueue::for_backend(backend, self.topo, &self.nodes, self.link.latency_us);
+        for e in 0..self.nodes.len() {
+            engine.schedule_at(e, 0.0, LeaderMsg::Start);
+        }
+        let threads = backend
+            .shards()
+            .min(densela::pool::available_parallelism())
+            .max(1);
+        (engine, KernelPool::new(threads))
+    }
+
+    /// Run the leg on `backend`: the time the last leader finishes, and the
+    /// engine's run statistics.
+    fn run(&self, backend: DesBackend) -> (f64, RunStats) {
+        let (mut engine, pool) = self.engine(backend);
+        let schedule = self.schedule;
+        let mut states: Vec<LeaderState> =
+            (0..self.nodes.len()).map(|_| LeaderState::new()).collect();
+        let stats = engine.run(&pool, &mut states, |ctx, t, e, msg| {
+            if let LeaderMsg::Arrive(round) = msg {
+                let round = u32::from(round);
+                assert!(
+                    round < schedule.rounds(e),
+                    "arrival for round {round} outside leader {e}'s {}-round schedule",
+                    schedule.rounds(e)
+                );
+                ctx.state(e).record(round, t);
+            }
+            pump_leader(ctx, e, self);
+        });
+        let inter = states
+            .iter()
+            .enumerate()
+            .map(|(e, st)| {
+                assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
+                assert!(
+                    st.early.is_empty(),
+                    "leader {e} finished with {} unread arrivals",
+                    st.early.len()
+                );
+                st.clock
+            })
+            .fold(0.0, f64::max);
+        (inter, stats)
+    }
+}
+
+/// Advance leader `e` through its schedule as far as its arrivals allow:
+/// each round's send is issued once at the clock the leader entered with,
+/// and an expected round is left only when its arrival is in —
+/// `clock = max(clock, arrival)`, the LogGP dependency rule.
+fn pump_leader(ctx: &mut Ctx<'_, LeaderState, LeaderMsg>, e: usize, leg: &LeaderLeg<'_>) {
+    let rounds = leg.schedule.rounds(e);
     loop {
         let st = ctx.state(e);
         let (r, clock, sent) = (st.round, st.clock, st.sent);
         if r >= rounds {
             break;
         }
-        let round = schedule.round(e, r);
+        let round = leg.schedule.round(e, r);
         if !sent {
             st.sent = true;
             if let Some((dst, dst_round)) = round.send {
-                let t = clock + flight(node_of_leader[e], node_of_leader[dst], round.bytes);
-                ctx.emit(dst, t, LeaderMsg::Arrive(dst_round));
+                let t = clock + leg.flight(e, dst, round.bytes);
+                ctx.emit(dst, t, LeaderMsg::Arrive(dst_round as u16));
             }
         }
         let st = ctx.state(e);
         if round.expect {
-            let arrival = st.arrived[r as usize];
-            if arrival.is_nan() {
+            if st.now.is_nan() {
                 break;
             }
-            st.clock = st.clock.max(arrival);
+            st.clock = st.clock.max(st.now);
         }
-        st.round += 1;
-        st.sent = false;
+        st.advance();
     }
 }
 
@@ -236,6 +377,20 @@ pub fn allreduce_des_stats(
     bytes: u64,
     backend: DesBackend,
 ) -> (f64, RunStats) {
+    hierarchical(net, node_of_rank, bytes, |leg| leg.run(backend))
+}
+
+/// The hierarchical allreduce with its leader leg run by `leader_leg`,
+/// which returns the leg's completion time and run statistics.
+fn hierarchical<F>(
+    net: &Network,
+    node_of_rank: &[usize],
+    bytes: u64,
+    leader_leg: F,
+) -> (f64, RunStats)
+where
+    F: FnOnce(&LeaderLeg<'_>) -> (f64, RunStats),
+{
     let p = node_of_rank.len();
     if p <= 1 {
         return (0.0, RunStats::default());
@@ -257,78 +412,9 @@ pub fn allreduce_des_stats(
     } else {
         0.0
     };
-    // Phase 2: leaders exchange over the wire on the selected engine.
+    // Phase 2: leaders exchange over the wire on the event engine.
     let (inter_t, stats) = if nodes.len() > 1 {
-        let algo = crate::collectives::select_algorithm(bytes);
-        let (schedule, fabric) = match algo {
-            crate::collectives::CollectiveAlgorithm::RecursiveDoubling => {
-                (Schedule::doubling(nodes.len(), bytes), 1.0)
-            }
-            crate::collectives::CollectiveAlgorithm::Ring => (
-                Schedule::rabenseifner(nodes.len(), bytes),
-                net.topology().bisection_factor(),
-            ),
-        };
-        let link = net.link();
-        let topo = net.topology();
-        let flight = move |a: usize, b: usize, chunk: u64| -> f64 {
-            let hops = topo.hops(a, b);
-            let base = link.latency_us + f64::from(hops) * link.per_hop_us;
-            let wire = chunk as f64 / (link.injection_bw_gbs() * fabric * 1e3);
-            if chunk >= link.rendezvous_cutover_bytes {
-                2.0 * base + wire
-            } else {
-                base + wire
-            }
-        };
-        // Every cross-shard flight is a wire flight (leaders sit on
-        // distinct nodes), so the link latency is a sound lookahead.
-        let mut engine: ShardedEventQueue<LeaderMsg> =
-            ShardedEventQueue::for_backend(backend, topo, &nodes, link.latency_us);
-        let stride = schedule.max_rounds() as usize;
-        let mut arrivals = vec![f64::NAN; nodes.len() * stride];
-        let mut states: Vec<LeaderState<'_>> = arrivals
-            .chunks_mut(stride)
-            .map(|arrived| LeaderState {
-                clock: 0.0,
-                round: 0,
-                sent: false,
-                arrived,
-            })
-            .collect();
-        for e in 0..nodes.len() {
-            engine.schedule_at(e, 0.0, LeaderMsg::Start);
-        }
-        let threads = backend
-            .shards()
-            .min(densela::pool::available_parallelism())
-            .max(1);
-        let pool = densela::KernelPool::new(threads);
-        let stats = engine.run(&pool, &mut states, |ctx, t, e, msg| {
-            if let LeaderMsg::Arrive(round) = msg {
-                assert!(
-                    round < schedule.rounds(e),
-                    "arrival for round {round} outside leader {e}'s {}-round schedule",
-                    schedule.rounds(e)
-                );
-                let slot = &mut ctx.state(e).arrived[round as usize];
-                assert!(
-                    slot.is_nan(),
-                    "duplicate arrival for leader {e} round {round}"
-                );
-                *slot = t;
-            }
-            pump_leader(ctx, e, schedule, &nodes, &flight);
-        });
-        let inter = states
-            .iter()
-            .enumerate()
-            .map(|(e, st)| {
-                assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
-                st.clock
-            })
-            .fold(0.0, f64::max);
-        (inter, stats)
+        leader_leg(&LeaderLeg::new(net, nodes, bytes))
     } else {
         (0.0, RunStats::default())
     };
@@ -486,7 +572,6 @@ mod tests {
                     .collect();
                 let mut sends = 0u64;
                 for rank in 0..p {
-                    assert!(schedule.rounds(rank) <= schedule.max_rounds());
                     for r in 0..schedule.rounds(rank) {
                         let Some((dst, dst_round)) = schedule.round(rank, r).send else {
                             continue;
@@ -540,5 +625,162 @@ mod tests {
         assert_eq!(stats.windows, stats2.windows);
         assert_eq!(stats.events, stats2.events);
         assert!(stats2.cross_msgs > 0, "4 shards must exchange messages");
+    }
+
+    #[test]
+    fn leader_state_fills_the_current_round_and_buffers_later_ones() {
+        let mut st = LeaderState::new();
+        st.record(2, 7.0);
+        st.record(1, 5.0);
+        st.record(0, 3.0);
+        assert_eq!((st.now, st.early.len()), (3.0, 2));
+        st.advance();
+        assert_eq!((st.round, st.now, st.early.len()), (1, 5.0, 1));
+        st.advance();
+        assert_eq!((st.round, st.now, st.early.len()), (2, 7.0, 0));
+        st.advance();
+        assert!(st.now.is_nan() && !st.sent, "round 3 has no arrival yet");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate arrival")]
+    fn second_arrival_for_the_current_round_panics() {
+        let mut st = LeaderState::new();
+        st.record(0, 1.0);
+        st.record(0, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate arrival")]
+    fn second_arrival_for_a_buffered_round_panics() {
+        let mut st = LeaderState::new();
+        st.record(3, 1.0);
+        st.record(3, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate arrival")]
+    fn arrival_for_a_past_round_panics() {
+        let mut st = LeaderState::new();
+        st.record(0, 1.0);
+        st.advance();
+        st.record(0, 2.0);
+    }
+
+    /// The leader state this module kept before [`LeaderState`]: one
+    /// arrival slot per round of the leader's schedule. Reference for the
+    /// compact state, which must reproduce it to the bit.
+    struct SlotLeader {
+        clock: f64,
+        round: u32,
+        sent: bool,
+        /// Arrival time per round; NaN = not yet.
+        arrived: Vec<f64>,
+        /// Arrivals that landed for a round after the leader's current one.
+        early: u64,
+    }
+
+    /// Run `leg` on `backend` with per-round-slot leader state. Returns the
+    /// leg's completion time, the engine's statistics and the number of
+    /// arrivals that came ahead of their leader's round.
+    fn slot_oracle(leg: &LeaderLeg<'_>, backend: DesBackend) -> (f64, RunStats, u64) {
+        let (mut engine, pool) = leg.engine(backend);
+        let schedule = leg.schedule;
+        let mut states: Vec<SlotLeader> = (0..leg.nodes.len())
+            .map(|e| SlotLeader {
+                clock: 0.0,
+                round: 0,
+                sent: false,
+                arrived: vec![f64::NAN; schedule.rounds(e) as usize],
+                early: 0,
+            })
+            .collect();
+        let stats = engine.run(&pool, &mut states, |ctx, t, e, msg| {
+            if let LeaderMsg::Arrive(round) = msg {
+                let st = ctx.state(e);
+                let slot = &mut st.arrived[usize::from(round)];
+                assert!(
+                    slot.is_nan(),
+                    "duplicate arrival for leader {e} round {round}"
+                );
+                *slot = t;
+                st.early += u64::from(u32::from(round) > st.round);
+            }
+            let rounds = schedule.rounds(e);
+            loop {
+                let st = ctx.state(e);
+                let (r, clock, sent) = (st.round, st.clock, st.sent);
+                if r >= rounds {
+                    break;
+                }
+                let round = schedule.round(e, r);
+                if !sent {
+                    st.sent = true;
+                    if let Some((dst, dst_round)) = round.send {
+                        let t = clock + leg.flight(e, dst, round.bytes);
+                        ctx.emit(dst, t, LeaderMsg::Arrive(dst_round as u16));
+                    }
+                }
+                let st = ctx.state(e);
+                if round.expect {
+                    let arrival = st.arrived[r as usize];
+                    if arrival.is_nan() {
+                        break;
+                    }
+                    st.clock = st.clock.max(arrival);
+                }
+                st.round += 1;
+                st.sent = false;
+            }
+        });
+        let inter = states
+            .iter()
+            .enumerate()
+            .map(|(e, st)| {
+                assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
+                st.clock
+            })
+            .fold(0.0, f64::max);
+        (inter, stats, states.iter().map(|st| st.early).sum())
+    }
+
+    #[test]
+    fn compact_leader_state_matches_the_per_round_slot_oracle() {
+        let mut early = 0u64;
+        for kind in [
+            InterconnectKind::TofuD,
+            InterconnectKind::Aries,
+            InterconnectKind::EdrInfiniband,
+        ] {
+            for leaders in (2..=64usize).chain([300]) {
+                let net = Network::new(kind, leaders);
+                for per_node in [1usize, 2, 4] {
+                    let placement: Vec<usize> =
+                        (0..leaders * per_node).map(|r| r / per_node).collect();
+                    // Recursive doubling, and Rabenseifner with folded
+                    // extras whenever `leaders` is not a power of two.
+                    for bytes in [8u64, 1 << 20] {
+                        for backend in [
+                            DesBackend::Serial,
+                            DesBackend::Sharded { shards: 2 },
+                            DesBackend::Sharded { shards: 4 },
+                        ] {
+                            let got = allreduce_des_stats(&net, &placement, bytes, backend);
+                            let mut ahead = 0;
+                            let want = hierarchical(&net, &placement, bytes, |leg| {
+                                let (t, stats, n) = slot_oracle(leg, backend);
+                                ahead = n;
+                                (t, stats)
+                            });
+                            let cell = format!("{kind:?} {leaders}x{per_node} {bytes}B {backend}");
+                            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{cell}: time");
+                            assert_eq!(got.1, want.1, "{cell}: run stats");
+                            early += ahead;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(early > 0, "no arrival in the sweep came ahead of its round");
     }
 }
