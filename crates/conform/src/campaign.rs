@@ -88,14 +88,14 @@ pub fn run() -> (Table, Vec<String>) {
     {
         let path = scratch("roundtrip");
         let write = || -> Result<String, String> {
-            let mut j = Journal::create(&path, &IDS).map_err(|e| e.to_string())?;
+            let mut j = Journal::create(&path, &IDS, cfg.pricing).map_err(|e| e.to_string())?;
             for id in IDS {
                 let t = demo_table(id);
                 j.append(id, 1, true, &t.render(), Some(&t.to_json(&[])))
                     .map_err(|e| e.to_string())?;
             }
-            let loaded =
-                campaign::load_journal(&path, &IDS).ok_or("written journal failed to load")?;
+            let loaded = campaign::load_journal(&path, &IDS, cfg.pricing)
+                .ok_or("written journal failed to load")?;
             if loaded.records.len() != IDS.len() {
                 return Err(format!(
                     "loaded {} of {} records",
@@ -123,7 +123,7 @@ pub fn run() -> (Table, Vec<String>) {
     {
         let path = scratch("damage");
         let damage = |mutate: &dyn Fn(&mut Vec<u8>), expect_max: usize| -> Result<String, String> {
-            let mut j = Journal::create(&path, &IDS).map_err(|e| e.to_string())?;
+            let mut j = Journal::create(&path, &IDS, cfg.pricing).map_err(|e| e.to_string())?;
             for id in IDS {
                 let t = demo_table(id);
                 j.append(id, 1, true, &t.render(), Some(&t.to_json(&[])))
@@ -133,8 +133,8 @@ pub fn run() -> (Table, Vec<String>) {
             let mut bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
             mutate(&mut bytes);
             std::fs::write(&path, &bytes).map_err(|e| e.to_string())?;
-            let loaded =
-                campaign::load_journal(&path, &IDS).ok_or("damaged journal lost its header")?;
+            let loaded = campaign::load_journal(&path, &IDS, cfg.pricing)
+                .ok_or("damaged journal lost its header")?;
             if loaded.records.len() > expect_max {
                 return Err(format!(
                     "kept {} records, damage allowed at most {expect_max}",

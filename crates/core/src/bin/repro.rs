@@ -395,10 +395,9 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("--all") | None => {
             let cfg = CampaignConfig {
-                workers: threads,
-                deadline,
                 retry: cflags.retry,
                 stop_after_records: cflags.kill_after,
+                ..CampaignConfig::new(threads, deadline)
             };
             let result =
                 match campaign::run_campaign(&cfg, cflags.journal.as_deref(), cflags.resume) {

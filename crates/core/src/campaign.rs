@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use obs::json::{self, escape, Value};
 
+use crate::costmodel::{self, PricingBackend};
 use crate::experiments;
 use crate::report::Table;
 use crate::runner;
@@ -148,16 +149,19 @@ fn record_line(r: &JournalRecord) -> String {
     seal(&record_body(r))
 }
 
-/// The campaign header line: pins the journal version and the id list,
-/// so a journal can never be resumed against a different campaign shape.
-fn header_line(ids: &[&str]) -> String {
+/// The campaign header line: pins the journal version, the id list and
+/// the pricing backend, so a journal can never be resumed against a
+/// different campaign shape or under pricing that would change its
+/// tables. (Threads and the DES backend leave every table byte-identical,
+/// so they are not pinned.)
+fn header_line(ids: &[&str], pricing: PricingBackend) -> String {
     let list = ids
         .iter()
         .map(|id| format!("\"{}\"", escape(id)))
         .collect::<Vec<_>>()
         .join(",");
     seal(&format!(
-        "{{\"v\":{JOURNAL_VERSION},\"kind\":\"campaign\",\"ids\":[{list}]"
+        "{{\"v\":{JOURNAL_VERSION},\"kind\":\"campaign\",\"ids\":[{list}],\"pricing\":\"{pricing}\""
     ))
 }
 
@@ -239,21 +243,22 @@ pub struct LoadedJournal {
     pub warnings: Vec<String>,
 }
 
-/// Load a journal's durable prefix for a campaign over `ids`.
+/// Load a journal's durable prefix for a campaign over `ids` priced by
+/// `pricing`.
 ///
 /// Returns `None` when the file is absent, unreadable, or its header
-/// does not match this campaign (wrong version or id list) — the caller
-/// then starts a fresh journal. Within a matching journal, reading
+/// does not match this campaign (wrong version, id list or pricing) —
+/// the caller then starts a fresh journal. Within a matching journal, reading
 /// stops at the first line that fails its checksum or parse: the write
 /// path appends and fsyncs records strictly in order, so everything
 /// before that point is a durable WAL prefix and everything after it is
 /// untrustworthy.
-pub fn load_journal(path: &Path, ids: &[&str]) -> Option<LoadedJournal> {
+pub fn load_journal(path: &Path, ids: &[&str], pricing: PricingBackend) -> Option<LoadedJournal> {
     let raw = std::fs::read(path).ok()?;
     let text = String::from_utf8_lossy(&raw);
     let mut lines = text.split_inclusive('\n');
     let header = lines.next()?;
-    if header.trim_end_matches('\n') != header_line(ids) {
+    if header.trim_end_matches('\n') != header_line(ids, pricing) {
         return None;
     }
     let mut out = LoadedJournal {
@@ -299,13 +304,14 @@ pub struct Journal {
 
 impl Journal {
     /// Create a fresh journal at `path` (truncating anything there),
-    /// writing and syncing the campaign header.
-    pub fn create(path: &Path, ids: &[&str]) -> std::io::Result<Journal> {
+    /// writing and syncing the header of a campaign over `ids` priced by
+    /// `pricing`.
+    pub fn create(path: &Path, ids: &[&str], pricing: PricingBackend) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }
         let mut file = File::create(path)?;
-        file.write_all(format!("{}\n", header_line(ids)).as_bytes())?;
+        file.write_all(format!("{}\n", header_line(ids, pricing)).as_bytes())?;
         file.sync_data()?;
         Ok(Journal {
             file,
@@ -367,7 +373,8 @@ impl Journal {
 
 // ---- campaign execution ---------------------------------------------------
 
-/// How a campaign runs: worker count, per-experiment deadline, retry.
+/// How a campaign runs: worker count, per-experiment deadline, retry,
+/// and the pricing backend its journal is pinned to.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Worker threads (clamped to at least 1).
@@ -381,16 +388,22 @@ pub struct CampaignConfig {
     /// `repro --kill-after` and the chaos/conform kill-resume
     /// scenarios). `None` runs to completion.
     pub stop_after_records: Option<u64>,
+    /// The pricing backend the experiments run under, written into the
+    /// journal header: a journal left under other pricing is not resumed.
+    pub pricing: PricingBackend,
 }
 
 impl CampaignConfig {
-    /// A sensible default: given workers/deadline, no retry, no kill.
+    /// A sensible default: given workers/deadline, no retry, no kill,
+    /// and the installed process default pricing
+    /// ([`costmodel::default_pricing`]), which the experiments read.
     pub fn new(workers: usize, deadline: Duration) -> Self {
         CampaignConfig {
             workers,
             deadline,
             retry: RetryPolicy::no_retry(),
             stop_after_records: None,
+            pricing: costmodel::default_pricing(),
         }
     }
 }
@@ -494,7 +507,7 @@ pub fn run_campaign_with(
         None => None,
         Some(path) => {
             let loaded = if resume {
-                load_journal(path, ids)
+                load_journal(path, ids, cfg.pricing)
             } else {
                 None
             };
@@ -537,7 +550,7 @@ pub fn run_campaign_with(
                             path.display()
                         ));
                     }
-                    Some(Journal::create(path, ids)?)
+                    Some(Journal::create(path, ids, cfg.pricing)?)
                 }
             }
         }
@@ -807,8 +820,9 @@ mod tests {
     fn journal_truncated_mid_record_resumes_from_last_complete_record() {
         let path = tmp("truncate");
         let ids = ["a", "b", "c"];
+        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
         {
-            let mut j = Journal::create(&path, &ids).unwrap();
+            let mut j = Journal::create(&path, &ids, cfg.pricing).unwrap();
             for id in ids {
                 let t = demo_table(id);
                 j.append(id, 1, true, &t.render(), Some(&t.to_json(&[])))
@@ -818,12 +832,11 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Truncate into the middle of the last record.
         std::fs::write(&path, &full[..full.len() - 17]).unwrap();
-        let loaded = load_journal(&path, &ids).expect("header intact");
+        let loaded = load_journal(&path, &ids, cfg.pricing).expect("header intact");
         assert_eq!(loaded.records.len(), 2, "last torn record dropped");
         assert_eq!(loaded.records[1].id, "b");
         assert!(!loaded.warnings.is_empty());
         // Resuming truncates the tail and the campaign re-runs only "c".
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
         let result = run_campaign_with(&ids, demo_body(), &cfg, Some(&path), true).unwrap();
         assert_eq!(result.end, CampaignEnd::Completed);
         assert_eq!(result.outcomes.len(), 3);
@@ -831,7 +844,7 @@ mod tests {
         assert!(result.outcomes[1].from_journal);
         assert!(!result.outcomes[2].from_journal, "c must re-run");
         // And the journal is whole again.
-        let reloaded = load_journal(&path, &ids).unwrap();
+        let reloaded = load_journal(&path, &ids, cfg.pricing).unwrap();
         assert_eq!(reloaded.records.len(), 3);
         assert!(reloaded.warnings.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -921,7 +934,7 @@ mod tests {
         assert_eq!(result.failed(), 1);
         assert_eq!(result.outcomes[0].attempts, 2);
         assert!(result.outcomes[0].render.contains("FAILED"));
-        let loaded = load_journal(&path, &["doomed", "ok"]).unwrap();
+        let loaded = load_journal(&path, &["doomed", "ok"], cfg.pricing).unwrap();
         let doomed = loaded.records.iter().find(|r| r.id == "doomed").unwrap();
         assert!(!doomed.ok);
         assert_eq!(doomed.attempts, 2);
@@ -937,21 +950,34 @@ mod tests {
     #[test]
     fn foreign_or_mismatched_journals_start_fresh() {
         let path = tmp("foreign");
-        std::fs::write(&path, "not a journal\n").unwrap();
-        assert!(load_journal(&path, &["a"]).is_none());
-        // A journal for a different id list is refused on load...
-        {
-            let mut j = Journal::create(&path, &["x", "y"]).unwrap();
-            j.append("x", 1, true, "r", None).unwrap();
-        }
-        assert!(load_journal(&path, &["a", "b"]).is_none());
-        // ...and resuming against it rewrites a fresh campaign.
         let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        std::fs::write(&path, "not a journal\n").unwrap();
+        assert!(load_journal(&path, &["a"], cfg.pricing).is_none());
+        // A journal for a different id list, or for the same ids under
+        // other pricing, is refused on load...
+        let other = match cfg.pricing {
+            PricingBackend::Flat => PricingBackend::Ecm,
+            PricingBackend::Ecm => PricingBackend::Flat,
+        };
+        for (ids, pricing) in [(["x", "y"], cfg.pricing), (["a", "b"], other)] {
+            let mut j = Journal::create(&path, &ids, pricing).unwrap();
+            j.append(ids[0], 1, true, "r", None).unwrap();
+            drop(j);
+            assert!(load_journal(&path, &ids, pricing).is_some());
+            assert!(load_journal(&path, &["a", "b"], cfg.pricing).is_none());
+        }
+        // ...and resuming against it rewrites a fresh campaign.
         let result = run_campaign_with(&["a", "b"], demo_body(), &cfg, Some(&path), true).unwrap();
         assert!(result.warnings.iter().any(|w| w.contains("starting fresh")));
         assert_eq!(result.outcomes.len(), 2);
         assert!(result.outcomes.iter().all(|o| !o.from_journal));
-        assert_eq!(load_journal(&path, &["a", "b"]).unwrap().records.len(), 2);
+        assert_eq!(
+            load_journal(&path, &["a", "b"], cfg.pricing)
+                .unwrap()
+                .records
+                .len(),
+            2
+        );
         let _ = std::fs::remove_file(&path);
     }
 

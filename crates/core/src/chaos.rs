@@ -192,7 +192,7 @@ fn journal_tear(seed: u64) -> Verdict {
     if std::fs::write(&path, &bytes[..cut]).is_err() {
         return fail("journal-tear", "rewrite torn journal failed");
     }
-    let loaded = match campaign::load_journal(&path, &IDS) {
+    let loaded = match campaign::load_journal(&path, &IDS, cfg.pricing) {
         Some(l) => l,
         None => return fail("journal-tear", "torn journal lost its header"),
     };
@@ -252,7 +252,7 @@ fn journal_rot(seed: u64) -> Verdict {
     if std::fs::write(&path, &rotted).is_err() {
         return fail("journal-rot", "rewrite rotted journal failed");
     }
-    let loaded = match campaign::load_journal(&path, &IDS) {
+    let loaded = match campaign::load_journal(&path, &IDS, cfg.pricing) {
         Some(l) => l,
         None => return fail("journal-rot", "rot reached the header unexpectedly"),
     };

@@ -9,6 +9,8 @@ use std::time::Duration;
 
 use a64fx_apps::nekbone::NekboneConfig;
 use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd, Journal, JournalRecord};
+use a64fx_core::costmodel::{self, PricingBackend};
+use a64fx_core::experiments;
 use a64fx_core::report::Table;
 use a64fx_core::tracecache;
 use proptest::prelude::*;
@@ -99,7 +101,7 @@ fn sealed_journal() -> &'static (Vec<u8>, Vec<JournalRecord>) {
     static JOURNAL: std::sync::OnceLock<(Vec<u8>, Vec<JournalRecord>)> = std::sync::OnceLock::new();
     JOURNAL.get_or_init(|| {
         let path = tmp("sealed");
-        let mut j = Journal::create(&path, &IDS).unwrap();
+        let mut j = Journal::create(&path, &IDS, PricingBackend::Flat).unwrap();
         for (k, id) in IDS.iter().enumerate() {
             let t = demo_table(id);
             let json = (k % 2 == 0).then(|| t.to_json(&[]));
@@ -108,7 +110,9 @@ fn sealed_journal() -> &'static (Vec<u8>, Vec<JournalRecord>) {
         }
         drop(j);
         let bytes = std::fs::read(&path).unwrap();
-        let records = campaign::load_journal(&path, &IDS).unwrap().records;
+        let records = campaign::load_journal(&path, &IDS, PricingBackend::Flat)
+            .unwrap()
+            .records;
         let _ = std::fs::remove_file(&path);
         assert_eq!(records.len(), IDS.len());
         (bytes, records)
@@ -133,7 +137,7 @@ proptest! {
         bad[at] ^= mask;
         let path = tmp("mutated");
         std::fs::write(&path, &bad).unwrap();
-        let loaded = campaign::load_journal(&path, &IDS);
+        let loaded = campaign::load_journal(&path, &IDS, PricingBackend::Flat);
         let _ = std::fs::remove_file(&path);
         let line = bytes[..at].iter().filter(|&&b| b == b'\n').count();
         if line == 0 {
@@ -164,7 +168,7 @@ fn truncated_mid_record_resumes_from_last_complete_record() {
         .collect();
     let cut = newlines[3] + 10; // header + 3 records end at newlines[3]
     std::fs::write(&path, &bytes[..cut]).unwrap();
-    let loaded = campaign::load_journal(&path, &IDS).expect("header intact");
+    let loaded = campaign::load_journal(&path, &IDS, cfg.pricing).expect("header intact");
     assert_eq!(loaded.records.len(), 3);
     let resumed = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), true).unwrap();
     assert_eq!(
@@ -179,7 +183,10 @@ fn truncated_mid_record_resumes_from_last_complete_record() {
     );
     // The journal is whole again after the resumed campaign.
     assert_eq!(
-        campaign::load_journal(&path, &IDS).unwrap().records.len(),
+        campaign::load_journal(&path, &IDS, cfg.pricing)
+            .unwrap()
+            .records
+            .len(),
         IDS.len()
     );
     let _ = std::fs::remove_file(&path);
@@ -235,7 +242,7 @@ fn multi_worker_campaign_journals_every_outcome() {
     let result = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false).unwrap();
     assert_eq!(result.outcomes.len(), IDS.len());
     assert_eq!(result.failed(), 0);
-    let loaded = campaign::load_journal(&path, &IDS).unwrap();
+    let loaded = campaign::load_journal(&path, &IDS, cfg.pricing).unwrap();
     assert_eq!(loaded.records.len(), IDS.len());
     // Resume with nothing left to do replays everything.
     let resumed = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), true).unwrap();
@@ -245,4 +252,50 @@ fn multi_worker_campaign_journals_every_outcome() {
         campaign::merged_json(&result.outcomes)
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Config-skew resume: a journal killed under ECM pricing and resumed
+/// under flat pricing must not mix the two. The resume starts a fresh
+/// journal, so the merged document is exactly a clean flat run's.
+#[test]
+fn resume_under_other_pricing_starts_fresh() {
+    // Both tables price differently under flat and ECM.
+    let ids = ["t3", "t5"];
+    let body: Arc<dyn Fn(&str) -> Table + Send + Sync> =
+        Arc::new(|id: &str| experiments::run_one(id).expect("registry id"));
+    let prev = costmodel::default_pricing();
+    let path = tmp("pricing-skew");
+    let clean_path = tmp("pricing-skew-clean");
+
+    costmodel::set_default_pricing(PricingBackend::Ecm);
+    let ecm_cfg = CampaignConfig {
+        stop_after_records: Some(1),
+        ..CampaignConfig::new(1, Duration::from_secs(60))
+    };
+    let killed =
+        campaign::run_campaign_with(&ids, Arc::clone(&body), &ecm_cfg, Some(&path), false).unwrap();
+
+    costmodel::set_default_pricing(PricingBackend::Flat);
+    let flat_cfg = CampaignConfig::new(1, Duration::from_secs(60));
+    let resumed =
+        campaign::run_campaign_with(&ids, Arc::clone(&body), &flat_cfg, Some(&path), true).unwrap();
+    let clean =
+        campaign::run_campaign_with(&ids, body, &flat_cfg, Some(&clean_path), false).unwrap();
+    costmodel::set_default_pricing(prev);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&clean_path);
+
+    assert_eq!(killed.end, CampaignEnd::Killed);
+    assert_eq!(resumed.end, CampaignEnd::Completed);
+    assert_ne!(
+        campaign::merged_json(&killed.outcomes),
+        campaign::merged_json(&clean.outcomes[..killed.outcomes.len()]),
+        "the probe tables must depend on pricing"
+    );
+    assert!(resumed.outcomes.iter().all(|o| !o.from_journal));
+    assert_eq!(
+        campaign::merged_json(&resumed.outcomes),
+        campaign::merged_json(&clean.outcomes),
+        "a resume under other pricing must equal a clean run under it"
+    );
 }

@@ -10,8 +10,6 @@
 #[derive(Debug, Clone, Default)]
 pub struct InjectionChannel {
     free_at_us: f64,
-    busy_us_total: f64,
-    transfers: u64,
 }
 
 impl InjectionChannel {
@@ -22,29 +20,18 @@ impl InjectionChannel {
 
     /// Reserve the channel for a transfer issued at `issue_us` that occupies
     /// the wire for `wire_us`. Returns the completion time.
+    #[inline]
     pub fn reserve(&mut self, issue_us: f64, wire_us: f64) -> f64 {
         assert!(wire_us >= 0.0, "wire time must be non-negative");
         let start = issue_us.max(self.free_at_us);
         let done = start + wire_us;
         self.free_at_us = done;
-        self.busy_us_total += wire_us;
-        self.transfers += 1;
         done
     }
 
     /// When the channel next becomes free.
     pub fn free_at_us(&self) -> f64 {
         self.free_at_us
-    }
-
-    /// Total microseconds of wire occupancy so far (for utilisation reports).
-    pub fn busy_us_total(&self) -> f64 {
-        self.busy_us_total
-    }
-
-    /// Number of transfers that have passed through the channel.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
     }
 
     /// Reset to idle (used when reusing a network across benchmark repeats).
@@ -72,17 +59,5 @@ mod tests {
         c.reserve(0.0, 5.0);
         let d = c.reserve(100.0, 5.0);
         assert_eq!(d, 105.0);
-    }
-
-    #[test]
-    fn accounting_tracks_busy_time() {
-        let mut c = InjectionChannel::new();
-        c.reserve(0.0, 3.0);
-        c.reserve(0.0, 4.0);
-        assert_eq!(c.busy_us_total(), 7.0);
-        assert_eq!(c.transfers(), 2);
-        c.reset();
-        assert_eq!(c.transfers(), 0);
-        assert_eq!(c.free_at_us(), 0.0);
     }
 }

@@ -31,8 +31,6 @@ pub struct Network {
     link: LinkParams,
     inject: Vec<InjectionChannel>,
     eject: Vec<InjectionChannel>,
-    messages: u64,
-    bytes: u128,
     /// Failure-aware delivery state. `None` (the default) is the exact
     /// pre-fault code path; an installed-but-empty schedule must price
     /// every transfer bit-identically to `None`.
@@ -124,8 +122,6 @@ impl Network {
             link,
             inject: vec![InjectionChannel::new(); nodes],
             eject: vec![InjectionChannel::new(); nodes],
-            messages: 0,
-            bytes: 0,
             faults: None,
         }
     }
@@ -214,9 +210,8 @@ impl Network {
     /// endpoints. Only the NIC reservations and the fault adjustments
     /// happen here — everything issue-time-independent was priced by
     /// [`Network::route`].
+    #[inline]
     pub fn deliver(&mut self, route: &Route, issue_us: f64) -> f64 {
-        self.messages += 1;
-        self.bytes += u128::from(route.bytes);
         if route.src == route.dst {
             return issue_us + SHM_LATENCY_US + route.wire_us;
         }
@@ -266,17 +261,9 @@ impl Network {
         self.link.injection_bw_gbs() * self.topo.bisection_factor()
     }
 
-    /// Total messages sent through the network so far.
-    pub fn message_count(&self) -> u64 {
-        self.messages
-    }
-
-    /// Total bytes sent through the network so far.
-    pub fn byte_count(&self) -> u128 {
-        self.bytes
-    }
-
-    /// Reset contention and counters (e.g. between benchmark repetitions).
+    /// Reset the NICs to idle (e.g. between benchmark repetitions).
+    /// Message and byte totals are not kept here; traced runs record them
+    /// as the `net.msg` and `net.bytes` metrics.
     /// An installed fault layer stays installed: its drop stream continues
     /// rather than replaying, so repetitions see fresh (but still
     /// schedule-deterministic) message fates.
@@ -287,8 +274,6 @@ impl Network {
         for c in &mut self.eject {
             c.reset();
         }
-        self.messages = 0;
-        self.bytes = 0;
     }
 }
 
@@ -360,18 +345,6 @@ mod tests {
             (t1 - t2).abs() < 1.0,
             "disjoint transfers should complete together"
         );
-    }
-
-    #[test]
-    fn counters_accumulate_and_reset() {
-        let mut net = edr(4);
-        net.transfer(0, 1, 100, 0.0);
-        net.transfer(1, 2, 200, 0.0);
-        assert_eq!(net.message_count(), 2);
-        assert_eq!(net.byte_count(), 300);
-        net.reset();
-        assert_eq!(net.message_count(), 0);
-        assert_eq!(net.byte_count(), 0);
     }
 
     #[test]
@@ -506,8 +479,6 @@ mod proptests {
         inject: Vec<InjectionChannel>,
         eject: Vec<InjectionChannel>,
         faults: Option<LinkFaults>,
-        messages: u64,
-        bytes: u128,
     }
 
     impl Reference {
@@ -518,14 +489,10 @@ mod proptests {
                 inject: vec![InjectionChannel::new(); nodes],
                 eject: vec![InjectionChannel::new(); nodes],
                 faults,
-                messages: 0,
-                bytes: 0,
             }
         }
 
         fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, issue_us: f64) -> f64 {
-            self.messages += 1;
-            self.bytes += u128::from(bytes);
             if src == dst {
                 return issue_us + SHM_LATENCY_US + bytes as f64 / (SHM_BW_GBS * 1e3);
             }
@@ -615,8 +582,6 @@ mod proptests {
                 prop_assert_eq!(got.to_bits(), want.to_bits(), "message {} ({} -> {}, {} B)", i, src, dst, bytes);
                 issue += dt;
             }
-            prop_assert_eq!(net.message_count(), reference.messages);
-            prop_assert_eq!(net.byte_count(), reference.bytes);
             let stats = |f: Option<&LinkFaults>| f.map(|f| (f.retries(), f.exhausted()));
             prop_assert_eq!(stats(net.faults()), stats(reference.faults.as_ref()));
         }

@@ -133,20 +133,39 @@ impl Placement {
             PlacementPolicy::RoundRobinDomain => (local % self.domains_per_node) as usize,
             PlacementPolicy::Packed => {
                 // Fill each domain's cores before moving to the next.
-                let cores_per_domain = self.cores_per_node / self.domains_per_node;
-                let capacity = (cores_per_domain / self.threads_per_rank).max(1);
-                ((local / capacity) as usize).min(self.domains_per_node as usize - 1)
+                ((local / self.packed_capacity()) as usize).min(self.domains_per_node as usize - 1)
             }
         }
     }
 
     /// Number of ranks sharing the same memory domain as `rank` on its node.
+    /// Closed form in the node's local rank count: no scan over the node.
     pub fn ranks_in_domain(&self, rank: u32) -> u32 {
-        let node = self.node_of(rank);
-        let dom = self.domain_of(rank);
-        let lo = node as u32 * self.ranks_per_node;
-        let hi = (lo + self.ranks_per_node).min(self.ranks);
-        (lo..hi).filter(|&r| self.domain_of(r) == dom).count() as u32
+        let local = self.ranks_on_node(rank);
+        let dom = self.domain_of(rank) as u32;
+        let domains = self.domains_per_node;
+        match self.policy {
+            // Local ranks `dom, dom + D, dom + 2D, …` below `local`.
+            PlacementPolicy::RoundRobinDomain => (local + domains - 1 - dom) / domains,
+            PlacementPolicy::Packed => {
+                // Local ranks `[dom·cap, (dom+1)·cap)`; `domain_of` clamps
+                // everything past the last domain into it.
+                let capacity = self.packed_capacity();
+                let lo = dom * capacity;
+                let hi = if dom + 1 == domains {
+                    local
+                } else {
+                    (lo + capacity).min(local)
+                };
+                hi - lo
+            }
+        }
+    }
+
+    /// Ranks that fill one memory domain under [`PlacementPolicy::Packed`].
+    fn packed_capacity(&self) -> u32 {
+        let cores_per_domain = self.cores_per_node / self.domains_per_node;
+        (cores_per_domain / self.threads_per_rank).max(1)
     }
 
     /// Cores active in `rank`'s memory domain (its ranks × their threads).
@@ -249,6 +268,52 @@ mod tests {
         let p = Placement::new(100, 48, 1, &a64fx_node(), PlacementPolicy::Packed).unwrap();
         assert_eq!(p.nodes_used(), 3);
         assert_eq!(p.ranks_on_node(99), 4); // 100 - 96 on the last node
+    }
+
+    /// The node scan `ranks_in_domain` replaced, kept as its oracle.
+    fn ranks_in_domain_by_scan(p: &Placement, rank: u32) -> u32 {
+        let dom = p.domain_of(rank);
+        let lo = p.node_of(rank) as u32 * p.ranks_per_node;
+        let hi = (lo + p.ranks_per_node).min(p.ranks);
+        (lo..hi).filter(|&r| p.domain_of(r) == dom).count() as u32
+    }
+
+    #[test]
+    fn closed_form_ranks_in_domain_matches_the_node_scan() {
+        let mut cases = 0u64;
+        for id in SystemId::all() {
+            let node = system(id).node;
+            for policy in [PlacementPolicy::Packed, PlacementPolicy::RoundRobinDomain] {
+                for rpn in 1..=2 * node.cores() {
+                    for tpr in 1..=8 {
+                        // Full nodes and partial last nodes of every size class.
+                        for ranks in [
+                            1,
+                            rpn / 2 + 1,
+                            rpn,
+                            rpn + 1,
+                            2 * rpn - 1,
+                            2 * rpn + rpn / 2,
+                            3 * rpn,
+                            3 * rpn + 1,
+                        ] {
+                            let Ok(p) = Placement::new(ranks, rpn, tpr, &node, policy) else {
+                                continue;
+                            };
+                            for r in 0..ranks {
+                                assert_eq!(
+                                    p.ranks_in_domain(r),
+                                    ranks_in_domain_by_scan(&p, r),
+                                    "{id:?} {policy:?} rpn {rpn} tpr {tpr} ranks {ranks} rank {r}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 100_000, "sweep shrank to {cases} cases");
     }
 
     #[test]

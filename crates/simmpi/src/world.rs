@@ -311,15 +311,37 @@ impl World {
     /// `ranks()`), the common SPMD pattern.
     pub fn compute_all(&mut self, us_per_rank: &[f64]) {
         assert_eq!(us_per_rank.len(), self.clock_us.len());
-        for (r, &us) in us_per_rank.iter().enumerate() {
-            self.compute(r as u32, us);
-        }
+        self.advance_all(us_per_rank.iter().copied());
     }
 
     /// Advance every rank by the same compute duration.
     pub fn compute_uniform(&mut self, us: f64) {
-        for r in 0..self.clock_us.len() {
-            self.compute(r as u32, us);
+        self.advance_all(std::iter::repeat_n(us, self.clock_us.len()));
+    }
+
+    /// [`World::compute`] for ranks `0, 1, …` in one pass, the straggler
+    /// multipliers looked up once.
+    fn advance_all(&mut self, us_per_rank: impl Iterator<Item = f64>) {
+        let mult = self.faults.as_ref().map(|f| f.straggler_mult.as_slice());
+        let ranks = self
+            .clock_us
+            .iter_mut()
+            .zip(&mut self.compute_us)
+            .zip(&self.alive);
+        for (r, (us, ((clock, compute), &alive))) in us_per_rank.zip(ranks).enumerate() {
+            assert!(
+                us >= 0.0 && !us.is_nan(),
+                "compute time must be non-negative"
+            );
+            if !alive {
+                continue;
+            }
+            let us = match mult {
+                Some(m) => us * m[r],
+                None => us,
+            };
+            *clock += us;
+            *compute += us;
         }
     }
 
