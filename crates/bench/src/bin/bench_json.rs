@@ -18,11 +18,10 @@
 //! baselines taken under different block/chunk parameters.
 //!
 //! It then times one full repro run — every experiment through the
-//! isolated runner, trace cache on — and writes `BENCH_repro.json` (or the
+//! campaign pool, trace cache on — and writes `BENCH_repro.json` (or the
 //! path given as the second argument): wall seconds, per-experiment
-//! seconds, trace-cache counters (hits, misses, inserts, LRU evictions
-//! and disk-tier loads/stores/corruptions), collective-cache counters,
-//! campaign counters (journal records, resumes, retries), and a DES
+//! seconds, trace-cache counters (hits, misses, inserts, LRU
+//! evictions), collective-cache counters (hits, misses), campaign counters (journal records, resumes, retries), and a DES
 //! drain microbench (events popped per second through a pre-sized
 //! [`netsim::des::EventQueue`]).
 //!
@@ -243,7 +242,7 @@ fn bench_repro(path: &str) {
     let des_popped = q.popped_total();
 
     let json = format!(
-        "{{\n  \"config\": {cfg},\n  \"threads\": {threads},\n  \"available_parallelism\": {ap},\n  \"wall_s\": {wall_s:.3},\n  \"experiments\": {nexp},\n  \"failed\": {failed},\n  \"trace_cache\": {{\"hits\": {th}, \"misses\": {tm}, \"inserts\": {ti}, \"evictions\": {te}, \"disk_loads\": {tdl}, \"disk_stores\": {tds}, \"disk_corrupt\": {tdc}}},\n  \"collective_cache\": {{\"hits\": {ch}, \"misses\": {cm}, \"evictions\": {ce}}},\n  \"campaign\": {{\"resumed\": {cr}, \"retries\": {crt}, \"journal_records\": {cjr}}},\n  \"des_drain\": {{\"events_popped\": {des_popped}, \"wall_s\": {des_s:.6}}},\n  \"per_experiment\": [\n{per}\n  ]\n}}\n",
+        "{{\n  \"config\": {cfg},\n  \"threads\": {threads},\n  \"available_parallelism\": {ap},\n  \"wall_s\": {wall_s:.3},\n  \"experiments\": {nexp},\n  \"failed\": {failed},\n  \"trace_cache\": {{\"hits\": {th}, \"misses\": {tm}, \"inserts\": {ti}, \"evictions\": {te}}},\n  \"collective_cache\": {{\"hits\": {ch}, \"misses\": {cm}}},\n  \"campaign\": {{\"resumed\": {cr}, \"retries\": {crt}, \"journal_records\": {cjr}}},\n  \"des_drain\": {{\"events_popped\": {des_popped}, \"wall_s\": {des_s:.6}}},\n  \"per_experiment\": [\n{per}\n  ]\n}}\n",
         cfg = a64fx_bench::config::header_json(threads),
         ap = densela::pool::available_parallelism(),
         nexp = outcomes.len(),
@@ -251,12 +250,8 @@ fn bench_repro(path: &str) {
         tm = trace1.misses - trace0.misses,
         ti = trace1.inserts - trace0.inserts,
         te = trace1.evictions - trace0.evictions,
-        tdl = trace1.disk_loads - trace0.disk_loads,
-        tds = trace1.disk_stores - trace0.disk_stores,
-        tdc = trace1.disk_corrupt - trace0.disk_corrupt,
         ch = coll1.hits - coll0.hits,
         cm = coll1.misses - coll0.misses,
-        ce = coll1.evictions - coll0.evictions,
         cr = camp1.resumed - camp0.resumed,
         crt = camp1.retries - camp0.retries,
         cjr = camp1.journal_records - camp0.journal_records,

@@ -1,10 +1,12 @@
 //! Conformance runner.
 //!
 //! ```text
-//! conform                 run all nine suites, exit 1 on any failure
-//! conform --bless         rewrite the golden snapshots from the current run
+//! conform                 run all ten suites, exit 1 on any failure
+//! conform --bless         rewrite the golden snapshots and the byte ledger
+//!                         from the current run
 //! conform golden          run only the named suite(s): golden, differential,
-//!                         parity, resilience, obs, des, ecm, attrib, campaign
+//!                         parity, resilience, obs, des, ecm, attrib, campaign,
+//!                         ledger
 //! conform --report p.txt  also write the full report to a file (CI artifact)
 //! ```
 
@@ -26,11 +28,11 @@ fn main() -> ExitCode {
                 }
             },
             "golden" | "differential" | "parity" | "resilience" | "obs" | "des" | "ecm"
-            | "attrib" | "campaign" => suites.push(arg),
+            | "attrib" | "campaign" | "ledger" => suites.push(arg),
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: conform [--bless] [--report <path>] [golden|differential|parity|resilience|obs|des|ecm|attrib|campaign]..."
+                    "usage: conform [--bless] [--report <path>] [golden|differential|parity|resilience|obs|des|ecm|attrib|campaign|ledger]..."
                 );
                 return ExitCode::FAILURE;
             }
@@ -66,6 +68,9 @@ fn main() -> ExitCode {
     }
     if want("campaign") {
         results.push(conform::campaign_suite());
+    }
+    if want("ledger") {
+        results.push(conform::ledger_suite(bless));
     }
 
     let mut out = String::new();

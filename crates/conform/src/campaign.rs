@@ -12,11 +12,12 @@
 //!    to an uninterrupted run — both the rendered blocks and the merged
 //!    experiment JSON. Retried-then-successful experiments render
 //!    byte-identically to first-try successes.
-//! 3. **Bounded caches are bit-transparent.** A trace cache capped down
-//!    to thrash (LRU eviction on every fetch) serves traces equal to the
-//!    uncapped build, and the chaos self-test — which additionally
-//!    injects panics, hangs and disk corruption — passes with
-//!    byte-identical output across double runs at a fixed seed.
+//! 3. **The bounded trace cache is bit-transparent.** The in-memory trace
+//!    cache capped down to thrash (LRU eviction on every fetch) serves
+//!    traces equal to the uncapped build, and the chaos self-test — which
+//!    additionally injects panics, hangs, torn and rotted journals and
+//!    kills — passes with byte-identical output across double runs at a
+//!    fixed seed.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

@@ -45,8 +45,11 @@
 //!   uninterrupted run byte for byte, retry leaves no mark on output,
 //!   LRU trace-cache eviction is bit-transparent, and the fixed-seed
 //!   chaos self-test passes with byte-identical double runs.
+//! * [`ledger`] — the exact stdout of `repro --all`, `--markdown`,
+//!   `--ablations`, `--extensions` and every `--exp-json` under both
+//!   pricing backends, committed and compared byte for byte.
 //!
-//! The `conform` binary runs all nine suites (exit 1 on any failure);
+//! The `conform` binary runs all ten suites (exit 1 on any failure);
 //! `cargo test -p conform` runs them as ordinary tests.
 
 #![warn(missing_docs)]
@@ -56,6 +59,7 @@ pub mod campaign;
 pub mod differential;
 pub mod ecm;
 pub mod golden;
+pub mod ledger;
 pub mod obs;
 pub mod parity;
 pub mod resilience;
@@ -84,30 +88,32 @@ impl SuiteResult {
     }
 }
 
+/// The result of a re-bless: one line per written file, noting changes.
+fn blessed(name: &'static str, written: Result<Vec<(String, bool)>, String>) -> SuiteResult {
+    match written {
+        Ok(written) => SuiteResult {
+            name,
+            report: written
+                .iter()
+                .map(|(id, changed)| {
+                    format!("blessed {id}{}", if *changed { " (changed)" } else { "" })
+                })
+                .collect::<Vec<_>>()
+                .join("\n"),
+            failures: Vec::new(),
+        },
+        Err(e) => SuiteResult {
+            name,
+            report: String::new(),
+            failures: vec![e],
+        },
+    }
+}
+
 /// Run the golden-table suite (optionally re-blessing the snapshots).
 pub fn golden_suite(bless: bool) -> SuiteResult {
     if bless {
-        return match golden::bless_all() {
-            Ok(written) => {
-                let report = written
-                    .iter()
-                    .map(|(id, changed)| {
-                        format!("blessed {id}{}", if *changed { " (changed)" } else { "" })
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                SuiteResult {
-                    name: "golden",
-                    report,
-                    failures: Vec::new(),
-                }
-            }
-            Err(e) => SuiteResult {
-                name: "golden",
-                report: String::new(),
-                failures: vec![e],
-            },
-        };
+        return blessed("golden", golden::bless_all());
     }
     let r = golden::check_all();
     SuiteResult {
@@ -155,27 +161,7 @@ pub fn resilience_suite() -> SuiteResult {
 /// snapshots).
 pub fn obs_suite(bless: bool) -> SuiteResult {
     if bless {
-        return match obs::bless_all() {
-            Ok(written) => {
-                let report = written
-                    .iter()
-                    .map(|(id, changed)| {
-                        format!("blessed {id}{}", if *changed { " (changed)" } else { "" })
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                SuiteResult {
-                    name: "obs",
-                    report,
-                    failures: Vec::new(),
-                }
-            }
-            Err(e) => SuiteResult {
-                name: "obs",
-                report: String::new(),
-                failures: vec![e],
-            },
-        };
+        return blessed("obs", obs::bless_all());
     }
     let (table, failures) = obs::run();
     SuiteResult {
@@ -221,6 +207,30 @@ pub fn campaign_suite() -> SuiteResult {
     SuiteResult {
         name: "campaign",
         report: render(&table),
+        failures,
+    }
+}
+
+/// Run the byte-ledger suite (optionally re-blessing the ledger files).
+pub fn ledger_suite(bless: bool) -> SuiteResult {
+    if bless {
+        return blessed("ledger", ledger::bless_all());
+    }
+    let dir = ledger::ledger_dir();
+    let entries = ledger::entries();
+    let mut failures = ledger::check(&entries, &dir);
+    failures.extend(
+        ledger::stale_files(&entries, &dir)
+            .into_iter()
+            .map(|f| format!("{f}: no output writes this file; re-bless to delete it")),
+    );
+    SuiteResult {
+        name: "ledger",
+        report: format!(
+            "{} outputs compared byte for byte with {}",
+            entries.len(),
+            dir.display()
+        ),
         failures,
     }
 }

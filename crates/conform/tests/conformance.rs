@@ -64,3 +64,20 @@ fn campaigns_are_crash_safe() {
         r.report
     );
 }
+
+#[test]
+fn flat_outputs_match_the_byte_ledger() {
+    // The ECM half flips the process-wide pricing default, which would
+    // race the other suites in this test binary; `conform ledger` checks
+    // it in a process of its own.
+    let flat: Vec<_> = conform::ledger::entries()
+        .into_iter()
+        .filter(|e| e.pricing == a64fx_core::costmodel::PricingBackend::Flat)
+        .collect();
+    let failures = conform::ledger::check(&flat, &conform::ledger::ledger_dir());
+    assert!(
+        failures.is_empty(),
+        "ledger drift:\n{}",
+        failures.join("\n")
+    );
+}

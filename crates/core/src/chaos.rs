@@ -2,7 +2,7 @@
 //!
 //! The campaign layer's whole job is surviving ugly failures — panics
 //! mid-experiment, hangs past the deadline, a journal torn at an
-//! arbitrary byte, bit rot in the disk cache, a `SIGKILL` between
+//! arbitrary byte, bit rot in a journal record, a `SIGKILL` between
 //! records. None of those occur in a healthy CI run, so without forcing
 //! them the recovery paths would be the least-tested code in the tree
 //! precisely because they matter most.
@@ -24,7 +24,6 @@
 //! | `retry-hang`     | body sleeps past the deadline once     | deadline fires; retry recovers |
 //! | `journal-tear`   | journal truncated at a seeded byte     | valid prefix kept; resume completes; bytes match clean |
 //! | `journal-rot`    | one seeded byte flipped in a record    | checksum voids that record and the tail |
-//! | `disk-rot`       | one seeded byte flipped in a cached trace file | refused, rebuilt bit-identically |
 //! | `kill-resume`    | campaign stopped after a seeded number of durable records | resume output byte-identical to uninterrupted |
 
 use std::path::PathBuf;
@@ -36,15 +35,14 @@ use faultsim::rng::SplitMix64;
 
 use crate::campaign::{self, CampaignConfig, CampaignEnd, RetryPolicy};
 use crate::report::Table;
-use crate::tracecache;
 
 /// Scenario-stream labels (stable: renumbering would change every seed's
-/// behaviour and invalidate pinned goldens).
+/// behaviour and invalidate pinned goldens). Label 5 belonged to a
+/// retired scenario and stays unused.
 const S_RETRY_PANIC: u64 = 1;
 const S_RETRY_HANG: u64 = 2;
 const S_JOURNAL_TEAR: u64 = 3;
 const S_JOURNAL_ROT: u64 = 4;
-const S_DISK_ROT: u64 = 5;
 const S_KILL_RESUME: u64 = 6;
 
 /// Synthetic experiment ids used by the chaos campaigns.
@@ -285,75 +283,6 @@ fn journal_rot(seed: u64) -> Verdict {
     )
 }
 
-/// Corrupt a persisted trace file — the disk tier must refuse it and
-/// rebuild the identical trace.
-fn disk_rot(seed: u64) -> Verdict {
-    use a64fx_apps::nekbone::NekboneConfig;
-    let mut rng = SplitMix64::stream(seed, S_DISK_ROT);
-    let dir = scratch(seed, "disk");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _g = tracecache::override_lock();
-    tracecache::set_enabled(true);
-    tracecache::set_disk_dir(Some(Some(dir.clone())));
-    let cfg = NekboneConfig {
-        elements_per_rank: 29 + rng.below(16),
-        poly: 5,
-        iterations: 2,
-    };
-    let ranks = 3;
-    // A prior run (or test) may have this trace resident; the scenario
-    // needs the fetch to miss so the disk tier sees a store.
-    tracecache::clear();
-    let original = tracecache::nekbone(cfg, ranks);
-    let restore = || {
-        tracecache::set_disk_dir(None);
-        tracecache::clear_override();
-        let _ = std::fs::remove_dir_all(&dir);
-    };
-    // Find the persisted file and rot one seeded byte past the header.
-    let Some(file) = std::fs::read_dir(&dir).ok().and_then(|rd| {
-        rd.filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| p.extension().is_some_and(|e| e == "trace"))
-    }) else {
-        restore();
-        return fail("disk-rot", "no trace file persisted");
-    };
-    let mut bytes = match std::fs::read(&file) {
-        Ok(b) => b,
-        Err(e) => {
-            restore();
-            return fail("disk-rot", format!("read trace file: {e}"));
-        }
-    };
-    let pos = 12 + rng.below(bytes.len() - 12);
-    bytes[pos] ^= 0x40;
-    if std::fs::write(&file, &bytes).is_err() {
-        restore();
-        return fail("disk-rot", "rewrite trace file failed");
-    }
-    let before = tracecache::stats();
-    tracecache::clear(); // force the next fetch through the disk tier
-    let rebuilt = tracecache::nekbone(cfg, ranks);
-    let after = tracecache::stats();
-    restore();
-    if after.disk_corrupt != before.disk_corrupt + 1 {
-        return fail(
-            "disk-rot",
-            format!(
-                "corrupt file not refused (disk_corrupt {} -> {})",
-                before.disk_corrupt, after.disk_corrupt
-            ),
-        );
-    }
-    if *rebuilt != *original {
-        return fail("disk-rot", "rebuilt trace differs from original");
-    }
-    pass(
-        "disk-rot",
-        "corrupt trace file refused; rebuilt bit-identically",
-    )
-}
-
 /// Kill the campaign after a seeded number of durable records, resume,
 /// and byte-compare against an uninterrupted run.
 fn kill_resume(seed: u64) -> Verdict {
@@ -412,7 +341,6 @@ pub fn run_chaos(seed: u64) -> (Table, Vec<String>) {
         retry_hang(seed),
         journal_tear(seed),
         journal_rot(seed),
-        disk_rot(seed),
         kill_resume(seed),
     ];
     let mut t = Table::new(

@@ -29,9 +29,8 @@
 //! * [`campaign`] — crash-safe batch supervision: a checksummed
 //!   write-ahead journal, `--resume` replay, and deterministic retry.
 //! * [`chaos`] — the seeded fault-injection self-test behind
-//!   `repro --chaos` (panics, hangs, torn journals, corrupt disk cache).
-//! * [`tracecache`] / [`tracedisk`] — the bounded in-memory LRU trace
-//!   cache and its optional checksummed on-disk tier.
+//!   `repro --chaos` (panics, hangs, torn and corrupt journals, kills).
+//! * [`tracecache`] — the bounded in-memory LRU trace cache.
 //! * [`timeline`] — per-iteration phase timelines (the profiler view).
 //! * [`report`] — plain-text table rendering and paper-comparison summaries.
 //! * [`paper`] — the paper's published numbers, transcribed for comparison.
@@ -54,7 +53,6 @@ pub mod resilience;
 pub mod runner;
 pub mod timeline;
 pub mod tracecache;
-pub mod tracedisk;
 
 pub use calibration::Calibration;
 pub use costmodel::{ExecutionResult, Executor, JobLayout};

@@ -25,19 +25,17 @@
 //! `A64FX_TRACE_CACHE=off` (or `0`/`false`/`no`) and `repro --no-cache`
 //! disable it, and cache-on vs cache-off runs are byte-identical.
 //!
-//! The memory tier is **capacity-bounded**: entries are charged their
-//! [`Trace::approx_bytes`] against `A64FX_TRACE_CACHE_CAP` (default
-//! [`DEFAULT_CAPACITY_BYTES`]) and evicted least-recently-used — purity
-//! makes eviction bit-transparent, so a million-distinct-workload
-//! campaign runs flat instead of growing without bound. With
-//! `A64FX_TRACE_CACHE_DIR` set, built traces are also **persisted** as
-//! checksummed files ([`crate::tracedisk`]) and reloaded across
-//! evictions and across processes, with graceful fallback-to-rebuild on
-//! any corruption or version mismatch.
+//! The cache lives in memory only and is **capacity-bounded**: entries
+//! are charged their [`Trace::approx_bytes`] against [`capacity`]
+//! ([`DEFAULT_CAPACITY_BYTES`] unless a test pins a smaller cap with
+//! [`set_capacity`]) and evicted least-recently-used — purity makes
+//! eviction bit-transparent. The paper's tables hold about 2 MB, far
+//! below the cap; `repro --autotune` holds about 5.3 KB per node, so the
+//! bound is what keeps an autotune sweep past ~50k nodes flat.
 //!
 //! Totals are exposed through [`stats`] and — when a recorder is
-//! installed — the `trace_cache.{hits,misses,inserts,evictions}` and
-//! `trace_cache.disk_{loads,stores,corrupt}` `obs` counters.
+//! installed — the `trace_cache.{hits,misses,inserts,evictions}` `obs`
+//! counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -268,9 +266,6 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static INSERTS: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static DISK_LOADS: AtomicU64 = AtomicU64::new(0);
-static DISK_STORES: AtomicU64 = AtomicU64::new(0);
-static DISK_CORRUPT: AtomicU64 = AtomicU64::new(0);
 
 /// Runtime override state: follows `A64FX_TRACE_CACHE` until
 /// [`set_enabled`] pins it (the `repro --no-cache` path, and tests that
@@ -316,105 +311,55 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Default in-memory capacity: 256 MiB. Far above anything the paper's
-/// sweeps build (traces are tens of kilobytes), so the bound is pure
-/// insurance — a million-distinct-request campaign stays flat instead of
-/// growing without limit.
+/// Default in-memory capacity: 256 MiB. The paper's tables hold about
+/// 2 MB; `repro --autotune <nodes>` holds about 5.3 KB per node and
+/// reaches the cap near 50k nodes, where eviction keeps it flat.
 pub const DEFAULT_CAPACITY_BYTES: u64 = 256 << 20;
 
-/// Parse an `A64FX_TRACE_CACHE_CAP` value: a positive byte count. Pure,
-/// so garbage handling is unit-testable.
-pub fn parse_capacity(raw: &str) -> Result<u64, String> {
-    let s = raw.trim();
-    if s.is_empty() {
-        return Err("empty value".to_string());
-    }
-    match s.parse::<u64>() {
-        Ok(0) => Err("0 bytes is not a valid capacity".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("'{s}' is not a positive byte count")),
-    }
-}
-
-/// Pinned capacity override (bytes); 0 means "not pinned, follow the
-/// environment".
+/// Pinned capacity (bytes); 0 means "not pinned, use the default".
 static CAPACITY_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
-/// Pin the in-memory capacity for this process (tests, chaos scenarios),
-/// taking precedence over `A64FX_TRACE_CACHE_CAP`. `None` drops the pin.
+/// Pin the in-memory capacity for this process (tests force eviction
+/// with a small cap). `None` drops the pin.
 pub fn set_capacity(cap: Option<u64>) {
     CAPACITY_OVERRIDE.store(cap.unwrap_or(0), Ordering::Relaxed);
 }
 
 /// The capacity in force: the [`set_capacity`] pin, else
-/// `A64FX_TRACE_CACHE_CAP` (invalid values warn once on first use and
-/// fall back), else [`DEFAULT_CAPACITY_BYTES`].
+/// [`DEFAULT_CAPACITY_BYTES`].
 pub fn capacity() -> u64 {
-    let pinned = CAPACITY_OVERRIDE.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
+    match CAPACITY_OVERRIDE.load(Ordering::Relaxed) {
+        0 => DEFAULT_CAPACITY_BYTES,
+        pinned => pinned,
     }
-    static FROM_ENV: OnceLock<u64> = OnceLock::new();
-    *FROM_ENV.get_or_init(
-        || match std::env::var("A64FX_TRACE_CACHE_CAP").ok().as_deref() {
-            None => DEFAULT_CAPACITY_BYTES,
-            Some(raw) => match parse_capacity(raw) {
-                Ok(n) => n,
-                Err(why) => {
-                    eprintln!("warning: ignoring A64FX_TRACE_CACHE_CAP ({why}); using default");
-                    DEFAULT_CAPACITY_BYTES
-                }
-            },
-        },
-    )
 }
 
-/// Pinned disk-directory override. Outer `None` = not pinned (follow
-/// `A64FX_TRACE_CACHE_DIR`); `Some(None)` = pinned off.
-#[allow(clippy::type_complexity)]
-fn disk_override() -> &'static Mutex<Option<Option<std::path::PathBuf>>> {
-    static DIR: OnceLock<Mutex<Option<Option<std::path::PathBuf>>>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(None))
-}
-
-/// Pin the disk persistence directory for this process (the
-/// `repro`-level plumbing and tests), taking precedence over
-/// `A64FX_TRACE_CACHE_DIR`. `Some(None)` pins persistence off;
-/// `None` drops the pin and falls back to the environment.
+/// Kept only for the benchmark harness under `perfbench/`, which pins
+/// persistence off with `set_disk_dir(Some(None))`. Traces are never
+/// persisted, so `None` and `Some(None)` do nothing.
+///
+/// # Panics
+///
+/// On `Some(Some(dir))`: no directory can be honoured.
+#[doc(hidden)]
 pub fn set_disk_dir(dir: Option<Option<std::path::PathBuf>>) {
-    *disk_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = dir;
-}
-
-/// The disk persistence directory in force, if any: the [`set_disk_dir`]
-/// pin, else `A64FX_TRACE_CACHE_DIR` (empty value = off).
-pub fn disk_dir() -> Option<std::path::PathBuf> {
-    if let Some(pinned) = disk_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-    {
-        return pinned;
+    if let Some(Some(dir)) = dir {
+        panic!("trace cache has no disk tier; cannot persist to {dir:?}");
     }
-    std::env::var("A64FX_TRACE_CACHE_DIR")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(std::path::PathBuf::from)
 }
 
 /// Serialise users of the process-global override pins ([`set_enabled`],
-/// [`set_capacity`], [`set_disk_dir`]). Tests and chaos scenarios that
-/// pin-and-restore must hold this guard so concurrent pinners do not
-/// interleave; the cache itself never takes it.
+/// [`set_capacity`]). Tests that pin-and-restore must hold this guard so
+/// concurrent pinners do not interleave; the cache itself never takes
+/// it.
 pub fn override_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Empty the in-memory memo table (counters are untouched). Used by
-/// tests and chaos scenarios to force the disk tier or fresh rebuilds;
-/// bit-transparency makes this safe at any time.
+/// tests and benchmarks to force fresh rebuilds; bit-transparency makes
+/// this safe at any time.
 pub fn clear() {
     let mut store = table().lock().unwrap_or_else(PoisonError::into_inner);
     store.map.clear();
@@ -434,19 +379,12 @@ pub fn resident_bytes() -> u64 {
 pub struct CacheStats {
     /// Fetches served from the memo table.
     pub hits: u64,
-    /// Fetches that had to build (or disk-load) the trace.
+    /// Fetches that had to build the trace.
     pub misses: u64,
     /// Traces inserted (misses that ran with the cache enabled).
     pub inserts: u64,
     /// Entries evicted under the capacity bound.
     pub evictions: u64,
-    /// Memory misses served from the disk tier.
-    pub disk_loads: u64,
-    /// Traces persisted to the disk tier.
-    pub disk_stores: u64,
-    /// Disk files refused (corruption, truncation, version skew) and
-    /// silently rebuilt.
-    pub disk_corrupt: u64,
 }
 
 /// Current process-wide cache totals (monotonic; disabled fetches count
@@ -457,9 +395,6 @@ pub fn stats() -> CacheStats {
         misses: MISSES.load(Ordering::Relaxed),
         inserts: INSERTS.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
-        disk_loads: DISK_LOADS.load(Ordering::Relaxed),
-        disk_stores: DISK_STORES.load(Ordering::Relaxed),
-        disk_corrupt: DISK_CORRUPT.load(Ordering::Relaxed),
     }
 }
 
@@ -471,10 +406,7 @@ pub fn stats() -> CacheStats {
 /// The bounded memory tier evicts least-recently-used entries past
 /// [`capacity`] bytes (cost = [`Trace::approx_bytes`]); an evicted key
 /// simply rebuilds on its next fetch — builders are pure, so eviction is
-/// bit-transparent. With a disk directory configured ([`disk_dir`]), a
-/// memory miss first tries the checksummed on-disk copy and falls back
-/// to rebuilding on *any* refusal (missing, corrupt, version skew), then
-/// persists what it built.
+/// bit-transparent.
 ///
 /// The build runs under the table lock: builders are microsecond-cheap
 /// and this guarantees each key is built exactly once even when the
@@ -501,48 +433,12 @@ pub fn fetch<C: Fingerprint>(cfg: &C, ranks: u32, build: impl FnOnce() -> Trace)
     if obs::enabled() {
         obs::add("trace_cache.misses", 1);
     }
-    let dir = disk_dir();
-    // Disk tier first: a valid on-disk copy is bit-identical to a fresh
-    // build (decode is exact and the builder is pure), so serving it is
-    // transparent. Anything refused falls through to the builder.
-    let (t, from_disk) = match &dir {
-        Some(d) => match crate::tracedisk::load(d, key.0, key.1, key.2) {
-            Ok(t) => {
-                DISK_LOADS.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_loads", 1);
-                }
-                (Arc::new(t), true)
-            }
-            Err(crate::tracedisk::LoadError::Missing) => (Arc::new(build()), false),
-            Err(_) => {
-                DISK_CORRUPT.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_corrupt", 1);
-                }
-                (Arc::new(build()), false)
-            }
-        },
-        None => (Arc::new(build()), false),
-    };
+    let t = Arc::new(build());
     INSERTS.fetch_add(1, Ordering::Relaxed);
     if obs::enabled() {
         obs::add("trace_cache.inserts", 1);
     }
     store.insert(key, &t, capacity());
-    if let (Some(d), false) = (&dir, from_disk) {
-        // Best-effort persist: a full disk or unwritable directory costs
-        // the amortisation, never the run.
-        match crate::tracedisk::store(d, key.0, key.1, key.2, &t) {
-            Ok(()) => {
-                DISK_STORES.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_stores", 1);
-                }
-            }
-            Err(why) => eprintln!("warning: trace cache persist failed: {why}"),
-        }
-    }
     t
 }
 
@@ -713,15 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_capacity_accepts_bytes_and_rejects_garbage() {
-        assert_eq!(parse_capacity("1"), Ok(1));
-        assert_eq!(parse_capacity(" 268435456 "), Ok(256 << 20));
-        for bad in ["", "  ", "0", "-1", "64M", "lots", "1.5"] {
-            assert!(parse_capacity(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
     fn lru_eviction_is_bit_transparent() {
         let _g = override_guard();
         set_enabled(true);
@@ -776,63 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_round_trips_and_survives_corruption() {
-        let _g = override_guard();
-        set_enabled(true);
-        let dir =
-            std::env::temp_dir().join(format!("a64fx-tracecache-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        set_disk_dir(Some(Some(dir.clone())));
-        let cfg = NekboneConfig {
-            elements_per_rank: 43,
-            poly: 5,
-            iterations: 2,
-        };
-        let before = stats();
-        let fresh = nekbone(cfg, 3);
-        let mid = stats();
-        assert!(mid.disk_stores > before.disk_stores, "first build persists");
-        // Drop the memory tier: the next fetch must come from disk and
-        // be bit-identical to the fresh build.
-        clear();
-        let loaded = nekbone(cfg, 3);
-        let after_load = stats();
-        assert!(after_load.disk_loads > mid.disk_loads, "{after_load:?}");
-        assert_eq!(*fresh, *loaded);
-        // Corrupt the file: the next cold fetch must refuse it, count
-        // it, and rebuild the identical trace.
-        let path = crate::tracedisk::file_path(&dir, "nekbone", cfg.fingerprint(), 3);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid_byte = bytes.len() / 3;
-        bytes[mid_byte] ^= 0x55;
-        std::fs::write(&path, &bytes).unwrap();
-        clear();
-        let rebuilt = nekbone(cfg, 3);
-        let after_corrupt = stats();
-        // Misfile a valid 2-rank trace under the 3-rank key: the next cold
-        // fetch must refuse it too, not hand a 2-rank trace to a 3-rank job.
-        nekbone(cfg, 2);
-        let misfiled = crate::tracedisk::file_path(&dir, "nekbone", cfg.fingerprint(), 2);
-        std::fs::copy(&misfiled, &path).unwrap();
-        clear();
-        let rebuilt_misfiled = nekbone(cfg, 3);
-        let after_misfiled = stats();
+    fn disk_dir_shim_accepts_only_no_persistence() {
+        set_disk_dir(Some(None));
         set_disk_dir(None);
-        clear_override();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(
-            after_corrupt.disk_corrupt > after_load.disk_corrupt,
-            "{after_corrupt:?}"
-        );
-        assert_eq!(*fresh, *rebuilt, "corruption must fall back to rebuild");
-        assert!(
-            after_misfiled.disk_corrupt > after_corrupt.disk_corrupt,
-            "{after_misfiled:?}"
-        );
-        assert_eq!(
-            *fresh, *rebuilt_misfiled,
-            "a misfiled trace must be rebuilt"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no disk tier")]
+    fn disk_dir_shim_refuses_a_directory() {
+        set_disk_dir(Some(Some(std::env::temp_dir())));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //!
 //! Every `World` memoizes its closed-form collective durations per
 //! `(op, bytes)` tuple (the closed forms depend only on the network and
-//! the live node map, both fixed between ULFM shrinks). These counters
+//! the live node map, both fixed between ULFM shrinks). The memo has no
+//! cap: it holds one entry per distinct collective its `World` prices —
+//! at most three in any experiment, ablation or extension here — and is
+//! cleared on shrink. These counters
 //! aggregate hits and misses across *all* worlds in the process so
 //! tooling (`bench_json`, `BENCH_repro.json`) can show the cache
 //! working without touching the `obs` recorder — collective pricing
@@ -17,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide collective-cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,10 +29,6 @@ pub struct CollCacheStats {
     /// Collective calls that ran the closed-form model (and populated
     /// the memo table).
     pub misses: u64,
-    /// Entries evicted under the per-`World` capacity bound
-    /// (`World::set_coll_cache_cap`). Bit-transparent: a re-computed
-    /// entry is the identical `f64`.
-    pub evictions: u64,
 }
 
 pub(crate) fn record_hit() {
@@ -41,27 +39,12 @@ pub(crate) fn record_miss() {
     MISSES.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn record_eviction() {
-    EVICTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Current process-wide hit/miss/eviction totals.
+/// Current process-wide hit/miss totals.
 pub fn stats() -> CollCacheStats {
     CollCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
     }
-}
-
-/// Reset the counters to zero (benchmark harnesses measuring one
-/// region). Racy counts from concurrently-running worlds land in
-/// whichever window observes them; the counters are diagnostics, not
-/// part of any priced result.
-pub fn reset() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    EVICTIONS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -69,7 +52,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         // Other tests may run worlds concurrently, so assert deltas via
         // monotonicity rather than absolute values.
         let before = stats();
@@ -79,10 +62,5 @@ mod tests {
         let after = stats();
         assert!(after.hits >= before.hits + 2);
         assert!(after.misses > before.misses);
-        reset();
-        // After a reset the totals restart from (approximately) zero;
-        // only our own contribution is guaranteed visible.
-        record_hit();
-        assert!(stats().hits >= 1);
     }
 }

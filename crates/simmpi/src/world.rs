@@ -56,18 +56,13 @@ pub struct World {
     faults: Option<WorldFaults>,
     /// Completed shrink-and-recover operations.
     recoveries: u32,
-    /// Memoized closed-form collective durations, keyed `(op, bytes)`;
-    /// each entry carries its last-use tick for LRU eviction. The closed
-    /// forms depend only on the network and the live node map, so
-    /// entries stay valid until [`World::shrink_failed`] changes the
-    /// live set (which clears the table).
-    coll_cache: HashMap<(u8, u64), (f64, u64)>,
-    /// Logical clock for `coll_cache` last-use stamps.
-    coll_tick: u64,
-    /// Entry-count bound on `coll_cache` (see
-    /// [`World::set_coll_cache_cap`]). Eviction is bit-transparent: a
-    /// re-computed entry is the identical `f64`.
-    coll_cache_cap: usize,
+    /// Memoized closed-form collective durations, keyed `(op, bytes)`.
+    /// The closed forms depend only on the network and the live node
+    /// map, so entries stay valid until [`World::shrink_failed`] changes
+    /// the live set (which clears the table). Bounded by construction:
+    /// one entry per distinct collective the world prices, which for
+    /// every workload in this repository is a handful.
+    coll_cache: HashMap<(u8, u64), f64>,
     /// Per-rank arrival scratch for [`World::exchange_planned`], kept so
     /// an exchange allocates nothing.
     arrivals: Vec<f64>,
@@ -86,12 +81,6 @@ struct PlannedMsg {
     dst: u32,
     route: Route,
 }
-
-/// Default `coll_cache` entry bound. The paper's workloads memoize tens
-/// of distinct `(op, bytes)` tuples per world, so 4096 is pure insurance
-/// against adversarial byte distributions (e.g. a sweep feeding a fresh
-/// message size every call) growing a long-lived world without limit.
-pub const DEFAULT_COLL_CACHE_CAP: usize = 4096;
 
 impl World {
     /// Create a world for `placement` on `net`. The network must span at
@@ -116,34 +105,7 @@ impl World {
             faults: None,
             recoveries: 0,
             coll_cache: HashMap::new(),
-            coll_tick: 0,
-            coll_cache_cap: DEFAULT_COLL_CACHE_CAP,
             arrivals: Vec::with_capacity(n),
-        }
-    }
-
-    /// Bound the collective-time memo table to `cap` entries (at least
-    /// 1); at the bound, the least-recently-used entry is evicted.
-    /// Eviction is bit-transparent — re-computing an evicted entry
-    /// returns the identical `f64` — so this only trades wall-clock time
-    /// for memory.
-    pub fn set_coll_cache_cap(&mut self, cap: usize) {
-        self.coll_cache_cap = cap.max(1);
-        while self.coll_cache.len() > self.coll_cache_cap {
-            self.evict_coll_lru();
-        }
-    }
-
-    /// Evict the least-recently-used `coll_cache` entry.
-    fn evict_coll_lru(&mut self) {
-        if let Some(key) = self
-            .coll_cache
-            .iter()
-            .min_by_key(|(_, &(_, tick))| tick)
-            .map(|(&k, _)| k)
-        {
-            self.coll_cache.remove(&key);
-            collcache::record_eviction();
         }
     }
 
@@ -526,19 +488,13 @@ impl World {
         bytes: u64,
         f: fn(&Network, &[usize], u64) -> f64,
     ) -> f64 {
-        self.coll_tick += 1;
-        let tick = self.coll_tick;
-        if let Some(entry) = self.coll_cache.get_mut(&(op, bytes)) {
-            entry.1 = tick;
+        if let Some(&t) = self.coll_cache.get(&(op, bytes)) {
             collcache::record_hit();
-            return entry.0;
+            return t;
         }
         let t = f(&self.net, &self.live_node_map(), bytes);
         collcache::record_miss();
-        while self.coll_cache.len() >= self.coll_cache_cap {
-            self.evict_coll_lru();
-        }
-        self.coll_cache.insert((op, bytes), (t, tick));
+        self.coll_cache.insert((op, bytes), t);
         t
     }
 
@@ -677,58 +633,6 @@ mod tests {
         .unwrap();
         let net = Network::new(InterconnectKind::TofuD, nodes as usize);
         World::new(net, p)
-    }
-
-    #[test]
-    fn capped_coll_cache_evicts_lru_and_stays_bit_identical() {
-        // An unbounded world and one capped to 2 entries run the same
-        // collective sequence (5 distinct sizes, interleaved revisits —
-        // guaranteed thrashing); every clock must match exactly.
-        let mut free = world(2, 4);
-        let mut capped = world(2, 4);
-        capped.set_coll_cache_cap(2);
-        let before = collcache::stats();
-        let sizes = [8u64, 64, 512, 4096, 32768];
-        for round in 0..3 {
-            for (i, &b) in sizes.iter().enumerate() {
-                if (round + i) % 2 == 0 {
-                    free.allreduce(b);
-                    capped.allreduce(b);
-                } else {
-                    free.allgather(b);
-                    capped.allgather(b);
-                }
-            }
-        }
-        let after = collcache::stats();
-        assert!(
-            after.evictions > before.evictions,
-            "5 distinct sizes against a cap of 2 must evict"
-        );
-        assert!(capped.coll_cache.len() <= 2);
-        for r in 0..free.ranks() {
-            assert_eq!(
-                free.now_us(r),
-                capped.now_us(r),
-                "eviction must be bit-transparent (rank {r})"
-            );
-        }
-    }
-
-    #[test]
-    fn shrinking_the_cap_evicts_down_immediately() {
-        let mut w = world(1, 4);
-        for b in [8u64, 16, 32, 64] {
-            w.allreduce(b);
-        }
-        assert_eq!(w.coll_cache.len(), 4);
-        w.set_coll_cache_cap(1);
-        assert_eq!(w.coll_cache.len(), 1);
-        // The survivor is the most recently used (64-byte) entry.
-        let before = collcache::stats();
-        w.allreduce(64);
-        let after = collcache::stats();
-        assert_eq!(after.hits, before.hits + 1, "MRU entry must survive");
     }
 
     #[test]
