@@ -85,6 +85,24 @@ impl Hasher for TimeKeyHasher {
     }
 }
 
+/// Largest bucket capacity, in events, that [`EventQueue`] keeps for
+/// reuse once the bucket empties; larger buckets are freed.
+///
+/// Recycling every emptied bucket let capacity pile up far beyond what is
+/// pending: D1's 131072-leader row never has more than 3.00 MiB of events
+/// queued, yet its buckets came to hold 42.1 MiB, because the largest
+/// spares (the start bucket above all) went to buckets that then held a
+/// few events. With this bound they peak at 7.6 MiB. Measured on a 2-vCPU
+/// KVM host: freeing every emptied bucket instead cut the row's peak RSS
+/// from 48.0 to 24.4 MiB, but made `des_small`, whose heaps stay in cache,
+/// slower in 8 of 10 interleaved pairs (median 190.9 → 194.6 ms) from
+/// allocator churn; keeping spares of at most 4,096 events (96 KiB of
+/// 24-byte events) gave a 23.0 MiB peak and left `des_small` level (4 of
+/// 10 pairs faster, medians 192.7 vs 193.0 ms). Capping the pool's total
+/// capacity at the pending count left the row at 40.9 MiB: pending buckets
+/// keep the oversized spares they took.
+const RECYCLE_MAX_EVENTS: usize = 4096;
+
 /// A priority queue of events ordered by (time, sequence).
 ///
 /// Scheduling at a time already pending costs one hash lookup; at a new
@@ -107,7 +125,8 @@ pub struct EventQueue<T> {
     keys: BinaryHeap<Reverse<u64>>,
     /// Events at every later pending time, unsorted within a bucket.
     later: HashMap<u64, Vec<Event<T>>, BuildHasherDefault<TimeKeyHasher>>,
-    /// Emptied buckets, kept for their allocations.
+    /// Emptied buckets of at most [`RECYCLE_MAX_EVENTS`] capacity, kept
+    /// for their allocations.
     spare: Vec<Vec<Event<T>>>,
     next_seq: u64,
     now_us: f64,
@@ -256,7 +275,9 @@ impl<T> EventQueue<T> {
                 let mut bucket = self.later.remove(&key).expect("every key has a bucket");
                 bucket.sort_unstable_by_key(|e| e.seq);
                 let emptied = std::mem::replace(&mut self.head, VecDeque::from(bucket));
-                self.spare.push(Vec::from(emptied));
+                if emptied.capacity() <= RECYCLE_MAX_EVENTS {
+                    self.spare.push(Vec::from(emptied));
+                }
                 self.head_key = key;
             }
         }
@@ -287,6 +308,14 @@ impl<T> EventQueue<T> {
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
         self.head.is_empty()
+    }
+
+    /// Events the queue's buckets, pending and spare, have room for.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.head.capacity()
+            + self.later.values().map(Vec::capacity).sum::<usize>()
+            + self.spare.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -431,6 +460,76 @@ mod tests {
     }
 
     #[test]
+    fn retained_bucket_capacity_follows_the_pending_events() {
+        // D1's shape at a sixteenth of its largest row: one start event per
+        // leader at time zero, then a recursive-doubling allreduce in which
+        // a leader sends once it has its partner's previous chunk, each
+        // flight priced by its hop count on TofuD's long-ring layout for
+        // 16384 nodes. That is one large start bucket, then hundreds of
+        // buckets of a few to a few thousand events at scattered times.
+        // Recycling every emptied bucket held 12x the peak pending events
+        // here; recycling only small ones holds 3.4x.
+        const DIMS: [usize; 6] = [1, 2, 683, 2, 3, 2];
+        let n: usize = DIMS.iter().product();
+        let rounds = usize::BITS - (n - 1).leading_zeros();
+        let hops = |mut a: usize, mut b: usize| {
+            let mut hops = 0;
+            for d in DIMS {
+                let gap = (a % d).abs_diff(b % d);
+                hops += gap.min(d - gap);
+                (a, b) = (a / d, b / d);
+            }
+            hops as f64
+        };
+        let mut round = vec![0u32; n];
+        let mut clock = vec![0.0f64; n];
+        // Arrival time per (leader, round); NaN = not yet.
+        let mut arrived = vec![f64::NAN; n * rounds as usize];
+        let mut q = EventQueue::with_capacity(n);
+        for e in 0..n {
+            q.schedule_at(0.0, (e, None));
+        }
+        let (mut peak_pending, mut peak_retained, mut pops) = (0, 0, 0u64);
+        while let Some(ev) = q.pop() {
+            pops += 1;
+            let (e, arrival) = ev.payload;
+            let mut send = arrival.is_none();
+            if let Some(r) = arrival {
+                arrived[e * rounds as usize + r as usize] = ev.time_us;
+            }
+            while round[e] < rounds {
+                let r = round[e];
+                let partner = e ^ (1 << r);
+                if partner < n {
+                    if send {
+                        let t = clock[e] + 1.0 + 0.0625 * hops(e, partner);
+                        q.schedule_at(t, (partner, Some(r)));
+                    }
+                    let t = arrived[e * rounds as usize + r as usize];
+                    if t.is_nan() {
+                        break;
+                    }
+                    clock[e] = clock[e].max(t);
+                }
+                round[e] += 1;
+                send = true;
+            }
+            peak_pending = peak_pending.max(q.len());
+            if pops % 16 == 0 {
+                peak_retained = peak_retained.max(q.retained_capacity());
+            }
+        }
+        assert!(round.iter().all(|&r| r == rounds), "every leader finished");
+        assert_eq!(peak_pending, n, "the start bucket is the peak");
+        assert!(
+            peak_retained <= 4 * peak_pending,
+            "buckets held room for {peak_retained} events, {:.1}x the peak of \
+             {peak_pending} pending",
+            peak_retained as f64 / peak_pending as f64
+        );
+    }
+
+    #[test]
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(16);
         q.schedule_at(2.0, "b");
@@ -446,6 +545,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::BinaryHeap;
 
     /// Few distinct times, so most events tie; both signs of zero.
@@ -455,53 +555,93 @@ mod proptests {
         (e.time_us.to_bits(), e.seq, e.payload)
     }
 
+    /// Replays `ops` on an [`EventQueue`] and on a `BinaryHeap<Event>`,
+    /// then drains both, asserting they pop the same events in the same
+    /// order. An op is `(kind, time index, shift)`: kind 0 schedules with
+    /// the internal counter, 1 with an explicit seq, anything else pops.
+    fn check_against_reference(ops: &[(usize, usize, f64)]) -> Result<(), TestCaseError> {
+        let mut q = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let mut next_seq = 0;
+        for (i, &(op, ti, shift)) in ops.iter().enumerate() {
+            // Half the events sit on TIMES, the rest a whole number
+            // later; a time below `now` is scheduled at exactly `now`.
+            let now = q.now_us();
+            let t = if shift < 1.0 {
+                TIMES[ti]
+            } else {
+                TIMES[ti] + (shift * 4.0).floor()
+            };
+            let t = if t < now { now } else { t };
+            let payload = i as u32;
+            match op {
+                0 => {
+                    q.schedule_at(t, payload);
+                    reference.push(Event {
+                        time_us: t,
+                        seq: next_seq,
+                        payload,
+                    });
+                    next_seq += 1;
+                }
+                1 => {
+                    // Explicit seqs out of insertion order, disjoint
+                    // from the counter's range.
+                    let seq = (1 << 62) | ((i as u64).wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
+                    q.schedule_with_seq(t, seq, payload);
+                    reference.push(Event {
+                        time_us: t,
+                        seq,
+                        payload,
+                    });
+                }
+                _ => {
+                    prop_assert_eq!(
+                        q.peek_time_us().map(f64::to_bits),
+                        reference.peek().map(|e| e.time_us.to_bits())
+                    );
+                    let got = q.pop();
+                    let want = reference.pop();
+                    prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        while let Some(want) = reference.pop() {
+            let got = q.pop().expect("queue drains with the reference");
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(q.now_us().to_bits(), want.time_us.to_bits());
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.popped_total(), q.scheduled_total());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        fn pop_order_matches_the_reference_through_buckets_too_large_to_recycle(
+            burst in proptest::collection::vec((0usize..2, 0usize..TIMES.len()), 15_000..20_000),
+            tail in proptest::collection::vec((0usize..4, 0usize..TIMES.len(), 0.0f64..2.0), 1..3000)
+        ) {
+            // A burst of schedules on TIMES fills some bucket past the
+            // recycle size; the tail pops it empty and reuses what is left.
+            let mut per_time = std::collections::HashMap::new();
+            for &(_, ti) in &burst {
+                *per_time.entry(time_key(TIMES[ti])).or_insert(0) += 1;
+            }
+            prop_assert!(per_time.values().any(|&n| n > RECYCLE_MAX_EVENTS));
+            let ops: Vec<_> = burst.iter().map(|&(op, ti)| (op, ti, 0.0)).chain(tail).collect();
+            check_against_reference(&ops)?;
+        }
+    }
+
     proptest! {
         #[test]
         fn pop_order_matches_a_binary_heap_reference(
             ops in proptest::collection::vec((0usize..4, 0usize..TIMES.len(), 0.0f64..2.0), 1..300)
         ) {
-            let mut q = EventQueue::new();
-            let mut reference = BinaryHeap::new();
-            let mut next_seq = 0;
-            for (i, &(op, ti, shift)) in ops.iter().enumerate() {
-                // Half the events sit on TIMES, the rest a whole number
-                // later; a time below `now` is scheduled at exactly `now`.
-                let now = q.now_us();
-                let t = if shift < 1.0 { TIMES[ti] } else { TIMES[ti] + (shift * 4.0).floor() };
-                let t = if t < now { now } else { t };
-                let payload = i as u32;
-                match op {
-                    0 => {
-                        q.schedule_at(t, payload);
-                        reference.push(Event { time_us: t, seq: next_seq, payload });
-                        next_seq += 1;
-                    }
-                    1 => {
-                        // Explicit seqs out of insertion order, disjoint
-                        // from the counter's range.
-                        let seq = (1 << 62) | ((i as u64).wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
-                        q.schedule_with_seq(t, seq, payload);
-                        reference.push(Event { time_us: t, seq, payload });
-                    }
-                    _ => {
-                        prop_assert_eq!(
-                            q.peek_time_us().map(f64::to_bits),
-                            reference.peek().map(|e| e.time_us.to_bits())
-                        );
-                        let got = q.pop();
-                        let want = reference.pop();
-                        prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
-                    }
-                }
-                prop_assert_eq!(q.len(), reference.len());
-            }
-            while let Some(want) = reference.pop() {
-                let got = q.pop().expect("queue drains with the reference");
-                prop_assert_eq!(bits(&got), bits(&want));
-                prop_assert_eq!(q.now_us().to_bits(), want.time_us.to_bits());
-            }
-            prop_assert!(q.is_empty());
-            prop_assert_eq!(q.popped_total(), q.scheduled_total());
+            check_against_reference(&ops)?;
         }
 
         #[test]

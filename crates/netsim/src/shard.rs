@@ -150,15 +150,19 @@ pub fn default_backend() -> DesBackend {
 /// what makes the minimum *wire* latency a valid lookahead bound.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
+    /// Home shard per entity; empty for the [single](ShardPlan::single)
+    /// plan, where every entity is on shard 0.
     shard_of: Vec<u32>,
+    entities: usize,
     shards: usize,
 }
 
 impl ShardPlan {
-    /// Everything on one shard (the serial plan).
+    /// Everything on one shard (the serial plan). Stores no per-entity map.
     pub fn single(entities: usize) -> Self {
         ShardPlan {
-            shard_of: vec![0; entities],
+            shard_of: Vec::new(),
+            entities,
             shards: 1,
         }
     }
@@ -179,10 +183,10 @@ impl ShardPlan {
                 topo.shard_of(node, shards) as u32
             })
             .collect();
-        ShardPlan { shard_of, shards }
+        Self::by_map(shard_of, shards)
     }
 
-    /// Build from an explicit entity→shard map (tests and ablations).
+    /// Build from an explicit entity→shard map.
     ///
     /// # Panics
     /// Panics if `shards` is zero or any entry is `>= shards`.
@@ -192,7 +196,11 @@ impl ShardPlan {
             shard_of.iter().all(|&s| (s as usize) < shards),
             "shard map entry out of range"
         );
-        ShardPlan { shard_of, shards }
+        ShardPlan {
+            entities: shard_of.len(),
+            shard_of,
+            shards,
+        }
     }
 
     /// Number of shards.
@@ -202,12 +210,21 @@ impl ShardPlan {
 
     /// Number of entities covered by the plan.
     pub fn entities(&self) -> usize {
-        self.shard_of.len()
+        self.entities
     }
 
     /// Home shard of an entity.
+    ///
+    /// # Panics
+    /// Panics if `entity` is not below [`Self::entities`]; [`Ctx::state`]
+    /// relies on this check to keep its state access in bounds.
     pub fn shard_of(&self, entity: usize) -> usize {
-        self.shard_of[entity] as usize
+        assert!(
+            entity < self.entities,
+            "entity {entity} outside a plan of {} entities",
+            self.entities
+        );
+        self.shard_of.get(entity).map_or(0, |&s| s as usize)
     }
 }
 
@@ -797,6 +814,28 @@ mod tests {
         let mut states = vec![0u8, 0u8];
         q.run(pool1(), &mut states, |ctx, _t, _e, ()| {
             *ctx.state(1) = 1;
+        });
+    }
+
+    #[test]
+    fn single_plan_homes_its_entities_on_shard_zero() {
+        let plan = ShardPlan::single(4);
+        assert_eq!((plan.entities(), plan.shards()), (4, 1));
+        assert!((0..4).all(|e| plan.shard_of(e) == 0));
+        let beyond = std::panic::catch_unwind(|| plan.shard_of(4));
+        assert!(beyond.is_err(), "entity 4 is outside the plan");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a plan of 2 entities")]
+    fn state_access_beyond_a_single_shard_plan_panics() {
+        // The state slice ends where the plan does, so this is the check
+        // that keeps `Ctx::state` from reading past it.
+        let mut q: ShardedEventQueue<()> = ShardedEventQueue::new(ShardPlan::single(2), 1.0);
+        q.schedule_at(0, 0.0, ());
+        let mut states = vec![0u8; 2];
+        q.run(pool1(), &mut states, |ctx, _t, _e, ()| {
+            *ctx.state(2) = 1;
         });
     }
 

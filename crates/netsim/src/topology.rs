@@ -52,19 +52,30 @@ pub trait Topology: Send + Sync + std::fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct Torus6d {
     dims: [usize; 6],
+    /// Per axis, the multiplier `ceil(2^64 / d)` that divides a node id by
+    /// the axis length `d` without a division instruction (see `coords`);
+    /// 0 for a 1-long axis, whose multiplier 2^64 does not fit.
+    inverse: [u64; 6],
 }
 
 impl Torus6d {
     /// Build a torus with the given per-dimension sizes.
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if the node count does not fit
+    /// `u32` (the range on which `coords` decodes exactly).
     pub fn new(dims: [usize; 6]) -> Self {
         assert!(
             dims.iter().all(|&d| d > 0),
             "torus dimensions must be positive"
         );
-        Torus6d { dims }
+        let nodes = dims.iter().try_fold(1u64, |n, &d| n.checked_mul(d as u64));
+        assert!(
+            nodes.is_some_and(|n| n <= u64::from(u32::MAX)),
+            "a {dims:?} torus has more nodes than fit u32"
+        );
+        let inverse = dims.map(|d| if d == 1 { 0 } else { u64::MAX / d as u64 + 1 });
+        Torus6d { dims, inverse }
     }
 
     /// The TofuD layout for an `n`-node system: `ceil(n / 12)` unit groups
@@ -101,11 +112,24 @@ impl Torus6d {
         Torus6d::new([best.0, best.1, best.2, 2, 3, 2])
     }
 
-    fn coords(&self, mut idx: usize) -> [usize; 6] {
+    /// Coordinates of node `idx`, x fastest: `idx % d` per axis, dividing
+    /// `idx` by each axis length `d` in turn. Each quotient is the high
+    /// word of `idx * ceil(2^64 / d)`, which is exact whenever `idx` and `d`
+    /// fit `u32` (Lemire, Kaser and Kurz, "Faster remainder by direct
+    /// computation", 2019). D1's leader flights call `hops` millions of
+    /// times, and a per-node coordinate table would cost 48 bytes a node.
+    ///
+    /// # Panics
+    /// Panics if `idx` does not fit `u32`.
+    fn coords(&self, idx: usize) -> [usize; 6] {
+        let mut idx = u64::from(u32::try_from(idx).expect("torus node ids fit u32"));
         let mut c = [0usize; 6];
-        for (i, &d) in self.dims.iter().enumerate() {
-            c[i] = idx % d;
-            idx /= d;
+        for ((c, &d), &inverse) in c.iter_mut().zip(&self.dims).zip(&self.inverse) {
+            if inverse != 0 {
+                let q = ((u128::from(inverse) * u128::from(idx)) >> 64) as u64;
+                *c = (idx - q * d as u64) as usize;
+                idx = q;
+            }
         }
         c
     }
@@ -356,6 +380,66 @@ mod tests {
         }
     }
 
+    /// `coords` by division, as the torus decoded node ids before the
+    /// multiply-shift decode.
+    pub(super) fn coords_by_division(t: &Torus6d, mut idx: usize) -> [usize; 6] {
+        t.dims.map(|d| {
+            let c = idx % d;
+            idx /= d;
+            c
+        })
+    }
+
+    #[test]
+    fn multiply_shift_decode_matches_division_on_every_node() {
+        let tori = [
+            Torus6d::tofu_d(48),
+            Torus6d::tofu_d(8192),
+            Torus6d::tofu_d(131_072),
+            Torus6d::new([1, 1, 1, 1, 1, 1]),
+            Torus6d::new([7, 1, 5, 1, 1, 3]),
+            Torus6d::new([1, 64, 1, 1, 3, 1]),
+            Torus6d::new([2, 3, 2, 4, 8, 16]),
+            Torus6d::new([331, 11, 3, 2, 3, 2]),
+        ];
+        for t in &tori {
+            for idx in 0..t.num_nodes() {
+                assert_eq!(
+                    t.coords(idx),
+                    coords_by_division(t, idx),
+                    "{:?} node {idx}",
+                    t.dims
+                );
+            }
+        }
+        assert_eq!(Torus6d::tofu_d(48).dims, [1, 2, 2, 2, 3, 2]);
+        assert_eq!(Torus6d::tofu_d(8192).dims, [1, 1, 683, 2, 3, 2]);
+    }
+
+    #[test]
+    fn multiply_shift_decode_is_exact_up_to_the_largest_u32_torus() {
+        // 65535 * 65537 = u32::MAX: the largest node count `new` takes.
+        let t = Torus6d::new([65_535, 1, 65_537, 1, 1, 1]);
+        assert_eq!(t.num_nodes(), u32::MAX as usize);
+        let edges = (0..4096).chain(u32::MAX as usize - 4096..u32::MAX as usize);
+        let strided = (0..u32::MAX as usize).step_by(65_521);
+        for idx in edges.chain(strided) {
+            assert_eq!(t.coords(idx), coords_by_division(&t, idx), "node {idx}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more nodes than fit u32")]
+    fn torus_beyond_u32_nodes_is_refused() {
+        Torus6d::new([65_536, 1, 1, 1, 1, 65_536]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more nodes than fit u32")]
+    fn torus_whose_node_count_overflows_is_refused() {
+        Torus6d::new([usize::MAX, 2, 1, 1, 1, 1]);
+    }
+
     #[test]
     fn tofu_d_48_nodes() {
         let t = Torus6d::tofu_d(48);
@@ -553,6 +637,19 @@ mod proptests {
             prop_assert!(f.diameter() <= 2 * f.levels());
             if f.leaf_of(a) != f.leaf_of(b) {
                 prop_assert_eq!(f.levels(), 2, "cross-leaf traffic implies a spine");
+            }
+        }
+
+        #[test]
+        fn multiply_shift_decode_matches_division(
+            dims in proptest::array::uniform6(1usize..41),
+            seeds in proptest::array::uniform4(0usize..usize::MAX),
+        ) {
+            // Up to 40^6, about 4.1e9 nodes: the decode's whole u32 range.
+            let t = Torus6d::new(dims);
+            let n = t.num_nodes();
+            for idx in seeds.map(|s| s % n).into_iter().chain([0, n - 1]) {
+                prop_assert_eq!(t.coords(idx), tests::coords_by_division(&t, idx));
             }
         }
 

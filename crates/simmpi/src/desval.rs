@@ -166,10 +166,11 @@ enum LeaderMsg {
 }
 
 const _: () = assert!(std::mem::size_of::<netsim::Event<(u32, LeaderMsg)>>() == 24);
+const _: () = assert!(std::mem::size_of::<LeaderState>() <= 32);
 
 /// Per-leader progress through its exchange schedule. At Fugaku scale the
 /// leaders' states are the simulation's working set, so this is kept to
-/// 48 bytes on a 64-bit host.
+/// 32 bytes on a 64-bit host.
 #[derive(Debug)]
 struct LeaderState {
     clock: f64,
@@ -177,11 +178,23 @@ struct LeaderState {
     sent: bool,
     /// Arrival time for the current round; NaN = not yet.
     now: f64,
-    /// Arrivals for later rounds, as `(round, time)`. A partner can run a
-    /// round ahead, but rarely: D1's 131072-leader row has 398 such
-    /// arrivals among 2,228,224, so this almost always stays empty and
-    /// unallocated.
-    early: Vec<(u32, f64)>,
+    /// Arrivals for later rounds. A partner can run a round ahead, but
+    /// rarely: D1's 131072-leader row has 398 such arrivals among
+    /// 2,228,224, so this is almost always `None`, and a list head costs
+    /// one pointer where an inline `Vec` would cost 24 bytes. Each leader
+    /// keeps its own list rather than sharing one table: `des_small`'s
+    /// TofuD cells have up to 1,981 early arrivals outstanding at once,
+    /// and a shared table would be scanned linearly for each of them.
+    early: Option<Box<Early>>,
+}
+
+/// One arrival that came ahead of its leader's round, linked to the
+/// leader's other early arrivals.
+#[derive(Debug)]
+struct Early {
+    round: u32,
+    time: f64,
+    next: Option<Box<Early>>,
 }
 
 impl LeaderState {
@@ -191,8 +204,13 @@ impl LeaderState {
             round: 0,
             sent: false,
             now: f64::NAN,
-            early: Vec::new(),
+            early: None,
         }
+    }
+
+    /// The buffered early arrivals, most recent first.
+    fn early(&self) -> impl Iterator<Item = &Early> {
+        std::iter::successors(self.early.as_deref(), |e| e.next.as_deref())
     }
 
     /// Record a partner's chunk for `round` arriving at `t`: into `now` for
@@ -207,11 +225,15 @@ impl LeaderState {
             return;
         }
         assert!(
-            round > self.round && self.early.iter().all(|&(r, _)| r != round),
+            round > self.round && self.early().all(|e| e.round != round),
             "duplicate arrival for round {round} (leader in round {})",
             self.round
         );
-        self.early.push((round, t));
+        self.early = Some(Box::new(Early {
+            round,
+            time: t,
+            next: self.early.take(),
+        }));
     }
 
     /// Leave the current round for the next, taking its arrival from
@@ -219,8 +241,15 @@ impl LeaderState {
     fn advance(&mut self) {
         self.round += 1;
         self.sent = false;
-        self.now = match self.early.iter().position(|&(r, _)| r == self.round) {
-            Some(i) => self.early.swap_remove(i).1,
+        let mut link = &mut self.early;
+        while link.as_ref().is_some_and(|e| e.round != self.round) {
+            link = &mut link.as_mut().expect("checked by the loop").next;
+        }
+        self.now = match link.take() {
+            Some(e) => {
+                *link = e.next;
+                e.time
+            }
             None => f64::NAN,
         };
     }
@@ -317,9 +346,9 @@ impl<'n> LeaderLeg<'n> {
             .map(|(e, st)| {
                 assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
                 assert!(
-                    st.early.is_empty(),
+                    st.early.is_none(),
                     "leader {e} finished with {} unread arrivals",
-                    st.early.len()
+                    st.early().count()
                 );
                 st.clock
             })
@@ -633,11 +662,11 @@ mod tests {
         st.record(2, 7.0);
         st.record(1, 5.0);
         st.record(0, 3.0);
-        assert_eq!((st.now, st.early.len()), (3.0, 2));
+        assert_eq!((st.now, st.early().count()), (3.0, 2));
         st.advance();
-        assert_eq!((st.round, st.now, st.early.len()), (1, 5.0, 1));
+        assert_eq!((st.round, st.now, st.early().count()), (1, 5.0, 1));
         st.advance();
-        assert_eq!((st.round, st.now, st.early.len()), (2, 7.0, 0));
+        assert_eq!((st.round, st.now, st.early().count()), (2, 7.0, 0));
         st.advance();
         assert!(st.now.is_nan() && !st.sent, "round 3 has no arrival yet");
     }
@@ -744,6 +773,37 @@ mod tests {
         (inter, stats, states.iter().map(|st| st.early).sum())
     }
 
+    /// Assert that the compact leader state reproduces the slot oracle to
+    /// the bit on every backend for each byte count. Returns the number of
+    /// arrivals that came ahead of their leader's round.
+    fn assert_matches_slot_oracle(net: &Network, placement: &[usize], bytes: &[u64]) -> u64 {
+        let mut early = 0;
+        for &bytes in bytes {
+            for backend in [
+                DesBackend::Serial,
+                DesBackend::Sharded { shards: 2 },
+                DesBackend::Sharded { shards: 4 },
+            ] {
+                let got = allreduce_des_stats(net, placement, bytes, backend);
+                let mut ahead = 0;
+                let want = hierarchical(net, placement, bytes, |leg| {
+                    let (t, stats, n) = slot_oracle(leg, backend);
+                    ahead = n;
+                    (t, stats)
+                });
+                let cell = format!(
+                    "{} {} ranks {bytes}B {backend}",
+                    net.topology().name(),
+                    placement.len()
+                );
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "{cell}: time");
+                assert_eq!(got.1, want.1, "{cell}: run stats");
+                early += ahead;
+            }
+        }
+        early
+    }
+
     #[test]
     fn compact_leader_state_matches_the_per_round_slot_oracle() {
         let mut early = 0u64;
@@ -759,28 +819,25 @@ mod tests {
                         (0..leaders * per_node).map(|r| r / per_node).collect();
                     // Recursive doubling, and Rabenseifner with folded
                     // extras whenever `leaders` is not a power of two.
-                    for bytes in [8u64, 1 << 20] {
-                        for backend in [
-                            DesBackend::Serial,
-                            DesBackend::Sharded { shards: 2 },
-                            DesBackend::Sharded { shards: 4 },
-                        ] {
-                            let got = allreduce_des_stats(&net, &placement, bytes, backend);
-                            let mut ahead = 0;
-                            let want = hierarchical(&net, &placement, bytes, |leg| {
-                                let (t, stats, n) = slot_oracle(leg, backend);
-                                ahead = n;
-                                (t, stats)
-                            });
-                            let cell = format!("{kind:?} {leaders}x{per_node} {bytes}B {backend}");
-                            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{cell}: time");
-                            assert_eq!(got.1, want.1, "{cell}: run stats");
-                            early += ahead;
-                        }
-                    }
+                    early += assert_matches_slot_oracle(&net, &placement, &[8, 1 << 20]);
                 }
             }
         }
         assert!(early > 0, "no arrival in the sweep came ahead of its round");
+    }
+
+    #[test]
+    fn compact_leader_state_matches_the_slot_oracle_on_fragmented_tofud_placements() {
+        // Leaders scattered over a 4096-node TofuD machine, as a job gets
+        // them on a busy system: uneven hop counts let partners run ahead,
+        // so leaders buffer several early arrivals at once.
+        let net = Network::new(InterconnectKind::TofuD, 4096);
+        let mut early = 0;
+        for leaders in [3usize, 37, 128, 300, 517] {
+            // An odd multiplier permutes the node ids mod 4096.
+            let placement: Vec<usize> = (0..leaders).map(|i| i * 2_654_435_761 % 4096).collect();
+            early += assert_matches_slot_oracle(&net, &placement, &[8, 4096, 1 << 20]);
+        }
+        assert!(early > 0, "no arrival came ahead of its round");
     }
 }
