@@ -51,9 +51,9 @@
 //! (the small-kernel regression fix), so their pooled and serial columns
 //! should read within noise of each other.
 
-use sparsela::coloring::{ColoredCsr, Coloring};
+use sparsela::coloring::Coloring;
 use sparsela::ell::SellMatrix;
-use sparsela::gen::stencil27;
+use sparsela::gen::{stencil27, stencil27_row};
 use sparsela::parallel::Team;
 use std::hint::black_box;
 use std::time::Instant;
@@ -482,10 +482,12 @@ fn main() {
     // interior ones) instead of a hand-picked constant.
     let sell = SellMatrix::from_csr_auto(&a, 8);
     let coloring = Coloring::stencil8(nx, ny, nz);
-    // The optimised HPCG smoother's storage: the operator's rows colour by
-    // colour. The pooled MC-SymGS column and the `mc_symgs_colored` row
-    // sweep it.
-    let colored = ColoredCsr::new(a.clone(), &coloring);
+    // The optimised HPCG operator: one SELL matrix stored colour by colour,
+    // built straight from the stencil generator. The pooled MC-SymGS
+    // column and the `mc_symgs_colored` row sweep it.
+    let colored = SellMatrix::from_colored_rows(&coloring, 8, 32, |r, cols, vals| {
+        stencil27_row(nx, ny, nz, r, cols, vals)
+    });
     let n = a.rows();
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.017).cos()).collect();
@@ -527,6 +529,11 @@ fn main() {
         let mut xs = vec![0.0; n];
         let mut xp = vec![0.0; n];
         let symgs_work = sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs);
+        // In-bench parity: the pooled sweep over the colour-grouped SELL
+        // operator reproduces the naive sweep bit for bit before it is
+        // timed.
+        team.mc_symgs_sweep(&colored, &b, &mut xp);
+        assert_bits_eq(&xs, &xp, "mc_symgs_sweep");
         rows.push(Row {
             name: "mc_symgs_sweep",
             serial_s: time(VEC_REPS, || {
@@ -761,17 +768,18 @@ fn main() {
         });
     }
     {
-        // Colour-ordered storage: every colour pass streams one contiguous
-        // range of rows instead of striding through natural-order CSR.
+        // Colour-grouped SELL storage: every colour pass streams one
+        // contiguous run of slices instead of striding through
+        // natural-order CSR.
         let mut x_naive = vec![0.0; n];
         let mut x_colored = vec![0.0; n];
         sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_naive);
-        let w = colored.sweep(&b, &mut x_colored);
+        let w = colored.mc_symgs_sweep(&b, &mut x_colored);
         assert_bits_eq(&x_naive, &x_colored, "mc_symgs_colored");
         let (naive_s, blocked_s) = time_pair(
             VEC_REPS,
             || sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut x_naive),
-            || colored.sweep(&b, &mut x_colored),
+            || colored.mc_symgs_sweep(&b, &mut x_colored),
         );
         blocked_rows.push(BlockedRow {
             name: "mc_symgs_colored",

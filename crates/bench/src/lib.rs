@@ -97,11 +97,15 @@ pub mod obsdiff {
     //! * **value regression** (exit 1): a numeric metric moved past the
     //!   relative threshold in its bad direction. Keys ending in
     //!   `_s`/`_us`/`_ns` are times (lower is better); keys ending in
-    //!   `per_s`/`_eff` and speedup ratios (`pooled_vs_*`, `blocked_vs_*`,
-    //!   `vs_serial`) are rates (higher is better); everything else is
-    //!   neutral — reported when it moves, but never a failure. `--warn-values` downgrades value regressions to
-    //!   warnings for hosts whose timings are not trustworthy (CI's
-    //!   single-core runners).
+    //!   `per_s`/`_eff` and `blocked_vs_*` speedups are rates (higher is
+    //!   better); everything else is neutral — reported when it moves, but
+    //!   never a failure. The pooled-vs-serial ratios (`pooled_vs_*`,
+    //!   `vs_serial`) are neutral on purpose: they divide by the serial
+    //!   time, so a faster serial path reads as a lower ratio, and on a
+    //!   host with one or two CPUs they say nothing about parallel speed-up
+    //!   anyway. `--warn-values` downgrades value regressions to warnings
+    //!   for hosts whose timings are not trustworthy (CI's single-core
+    //!   runners).
     //!
     //! The comparator itself is pure and deterministic: same two documents,
     //! same report, byte for byte.
@@ -121,18 +125,20 @@ pub mod obsdiff {
         LowerIsBetter,
         /// Rates, efficiencies, speedups: a decrease is a regression.
         HigherIsBetter,
-        /// Counts and sizes: changes are reported, never failures.
+        /// Counts, sizes and pooled-vs-serial ratios: changes are reported,
+        /// never failures.
         Neutral,
     }
 
     /// Classify a flattened metric key by its final path segment.
     pub fn direction(key: &str) -> Direction {
         let last = key.rsplit('.').next().unwrap_or(key);
-        if last.ends_with("per_s")
+        if last.starts_with("pooled_vs") || last == "vs_serial" {
+            // Recorded, never gated: see the module doc.
+            Direction::Neutral
+        } else if last.ends_with("per_s")
             || last.ends_with("_eff")
-            || last.starts_with("pooled_vs")
             || last.starts_with("blocked_vs")
-            || last == "vs_serial"
         {
             Direction::HigherIsBetter
         } else if last.ends_with("_s") || last.ends_with("_us") || last.ends_with("_ns") {
@@ -375,7 +381,7 @@ pub mod obsdiff {
                     "available_parallelism": {threads},
                     "wall_s": {wall},
                     "kernels": [{{"name": "spmv", "serial_s": 1.0,
-                                  "pooled_vs_serial": {speedup}}}],
+                                  "blocked_vs_naive": {speedup}}}],
                     "des": {{"events": {events}}}}}"#
             ))
             .unwrap()
@@ -395,7 +401,7 @@ pub mod obsdiff {
             );
             assert_eq!(
                 direction("kernels.spmv.pooled_vs_serial"),
-                Direction::HigherIsBetter
+                Direction::Neutral
             );
             assert_eq!(direction("ecm_roofline_eff"), Direction::HigherIsBetter);
             assert_eq!(
@@ -407,8 +413,8 @@ pub mod obsdiff {
                 Direction::HigherIsBetter
             );
             assert_eq!(
-                direction("runs.1024.serial.vs_serial"),
-                Direction::HigherIsBetter
+                direction("runs.1024.sharded4.vs_serial"),
+                Direction::Neutral
             );
             assert_eq!(direction("des.events"), Direction::Neutral);
             assert_eq!(direction("threads"), Direction::Neutral);
@@ -457,6 +463,23 @@ pub mod obsdiff {
             let r = diff_docs(&doc(10.0, 2.0, 5, 1), &doc(10.0, 2.0, 500, 1), 25.0);
             assert_eq!(r.exit_code(false), 0);
             assert_eq!(r.neutral_changes.len(), 1);
+        }
+
+        #[test]
+        fn pooled_vs_serial_ratios_are_recorded_not_gated() {
+            let ratios = |pooled: f64, sharded: f64| {
+                parse(&format!(
+                    r#"{{"kernels": [{{"name": "spmv", "pooled_vs_serial": {pooled}}}],
+                        "runs": [{{"nodes": 1024, "backend": "sharded4",
+                                   "vs_serial": {sharded}}}]}}"#
+                ))
+                .unwrap()
+            };
+            // Both ratios halve, as when the serial path gets twice as fast.
+            let r = diff_docs(&ratios(2.0, 1.2), &ratios(1.0, 0.6), 25.0);
+            assert_eq!(r.exit_code(false), 0, "{}", r.render(false));
+            assert!(r.regressions.is_empty());
+            assert_eq!(r.neutral_changes.len(), 2, "still reported");
         }
 
         #[test]

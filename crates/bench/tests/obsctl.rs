@@ -74,9 +74,30 @@ fn diff_exit_codes_cover_the_gate_contract() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
     // A lost speedup (higher-is-better moving down) also regresses.
-    let lost = temp("lost.json", &baseline_doc(10.0, 1.0, 1));
-    let out = obsctl(&["diff", base.to_str().unwrap(), lost.to_str().unwrap()]);
+    let lost = temp(
+        "lost.json",
+        &baseline_doc(10.0, 2.0, 1).replace(
+            r#""pooled_vs_serial": 2"#,
+            r#""pooled_vs_serial": 2, "blocked_vs_naive": 1"#,
+        ),
+    );
+    let kept = temp(
+        "kept.json",
+        &baseline_doc(10.0, 2.0, 1).replace(
+            r#""pooled_vs_serial": 2"#,
+            r#""pooled_vs_serial": 2, "blocked_vs_naive": 2"#,
+        ),
+    );
+    let out = obsctl(&["diff", kept.to_str().unwrap(), lost.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+
+    // A pooled-vs-serial ratio is recorded but never gated: halving it
+    // (say, because the serial path got faster) passes.
+    let halved = temp("halved.json", &baseline_doc(10.0, 1.0, 1));
+    let out = obsctl(&["diff", base.to_str().unwrap(), halved.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("pooled_vs_serial"), "{report}");
 
     // Shape drift: a renamed kernel fails even under --warn-values.
     let renamed = temp(
@@ -106,7 +127,9 @@ fn diff_exit_codes_cover_the_gate_contract() {
     let out = obsctl(&["diff", base.to_str().unwrap(), garbage.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(4), "{out:?}");
 
-    for p in [base, same, slow, lost, renamed, threads4, garbage] {
+    for p in [
+        base, same, slow, lost, kept, halved, renamed, threads4, garbage,
+    ] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -12,15 +12,15 @@
 //! A colour pass over natural-order CSR storage jumps through the matrix
 //! (a stencil8 colour takes every other row of every other line of every
 //! other plane), so each of the 16 passes of a sweep drags whole cache
-//! lines of `a` in for one eighth of their rows. [`ColoredCsr`] stores the
-//! rows colour by colour, as vendor HPCG's `OptimizeProblem` does, so each
-//! half-sweep streams the matrix once; [`ColoredCsr::sweep`] is
+//! lines of `a` in for one eighth of their rows. The optimised HPCG path
+//! therefore sweeps a [`crate::ell::SellMatrix`] built colour by colour
+//! ([`crate::ell::SellMatrix::from_colored_rows`]): each half-sweep streams
+//! the matrix once, and the same copy serves the SpMV. Its sweep is
 //! bit-identical to the naive [`mc_symgs_sweep`], which stays as the
 //! reference.
 
 use crate::csr::CsrMatrix;
 use densela::block::SYMGS_TILE;
-use densela::pool::SharedSlice;
 use densela::Work;
 
 const F64B: u64 = 8;
@@ -207,7 +207,7 @@ pub fn mc_symgs_sweep_blocked_with(
 
 /// Cache-blocked sweep at the default [`SYMGS_TILE`]; bit-identical to
 /// [`mc_symgs_sweep`]. No solver uses it (the optimised HPCG path sweeps a
-/// [`ColoredCsr`]); it stays for the benchmark harness's
+/// colour-grouped [`crate::ell::SellMatrix`]); it stays for the benchmark harness's
 /// `sparsela.mc_symgs_blocked` kernel row.
 pub fn mc_symgs_sweep_blocked(
     a: &CsrMatrix,
@@ -218,195 +218,10 @@ pub fn mc_symgs_sweep_blocked(
     mc_symgs_sweep_blocked_with(a, coloring, b, x, SYMGS_TILE)
 }
 
-/// The rows of a square [`CsrMatrix`] stored colour by colour: colour 0's
-/// rows first, then colour 1's, each colour in ascending row id. Columns
-/// keep their natural numbering, so `b` and `x` stay in natural order and
-/// only the matrix moves.
-///
-/// Every colour is one contiguous range of storage, so a colour pass of
-/// the sweep streams its rows instead of striding through natural-order
-/// CSR. The sweep visits rows in exactly the order [`mc_symgs_sweep`]
-/// visits [`Coloring::groups`], with the same per-row arithmetic, so it is
-/// bit-identical to it for any colouring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColoredCsr {
-    /// `row_id[k]`: the natural row stored at position `k`.
-    row_id: Vec<usize>,
-    /// `pos[r]`: the position natural row `r` is stored at.
-    pos: Vec<usize>,
-    /// Colour `c` occupies positions `color_ptr[c]..color_ptr[c + 1]`.
-    color_ptr: Vec<usize>,
-    /// Row `k` is the row stored at position `k`; column indices keep
-    /// their natural numbering.
-    csr: CsrMatrix,
-}
-
-impl ColoredCsr {
-    /// Reorder `a` colour by colour, consuming it. The column indices are
-    /// copied first and the old array dropped before the values are
-    /// copied, so the reordering never holds more than one spare array.
-    ///
-    /// # Panics
-    /// Panics if `a` is not square, if `coloring` does not cover its rows,
-    /// or if a stored entry couples two rows of one colour — even an
-    /// explicit zero, since the pooled sweep reads every stored column and
-    /// relies on no lane writing it.
-    pub fn new(a: CsrMatrix, coloring: &Coloring) -> Self {
-        let (n, cols, old_ptr, old_cols, old_vals) = a.into_parts();
-        assert_eq!(n, cols, "colour-ordered storage needs a square matrix");
-        let color = &coloring.color;
-        assert_eq!(color.len(), n, "the colouring must cover every row");
-        let k = coloring.num_colors as usize;
-
-        // Counting sort of the rows by colour; ascending row id within
-        // each colour, the order of `Coloring::groups`.
-        let mut color_ptr = vec![0usize; k + 1];
-        for &c in color {
-            assert!((c as usize) < k, "colour {c} out of range 0..{k}");
-            color_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..k {
-            color_ptr[c + 1] += color_ptr[c];
-        }
-        let mut next = color_ptr[..k].to_vec();
-        let mut row_id = vec![0usize; n];
-        let mut pos = vec![0usize; n];
-        for (r, &c) in color.iter().enumerate() {
-            let p = &mut next[c as usize];
-            row_id[*p] = r;
-            pos[r] = *p;
-            *p += 1;
-        }
-
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(old_cols.len());
-        for &r in &row_id {
-            let cols = &old_cols[old_ptr[r]..old_ptr[r + 1]];
-            let own = color[r];
-            let coupled = cols.iter().fold(false, |bad, &c| {
-                bad | (c as usize != r && color[c as usize] == own)
-            });
-            assert!(
-                !coupled,
-                "invalid colouring: row {r} is coupled to a row of its colour {own}"
-            );
-            col_idx.extend_from_slice(cols);
-            row_ptr.push(col_idx.len());
-        }
-        drop(old_cols);
-        let mut values = Vec::with_capacity(old_vals.len());
-        for &r in &row_id {
-            values.extend_from_slice(&old_vals[old_ptr[r]..old_ptr[r + 1]]);
-        }
-        drop(old_vals);
-        ColoredCsr {
-            row_id,
-            pos,
-            color_ptr,
-            csr: CsrMatrix::from_raw(n, n, row_ptr, col_idx, values),
-        }
-    }
-
-    /// Number of rows (and columns).
-    pub fn rows(&self) -> usize {
-        self.csr.rows()
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.csr.nnz()
-    }
-
-    /// Number of colours.
-    pub fn num_colors(&self) -> usize {
-        self.color_ptr.len() - 1
-    }
-
-    /// Storage positions of colour `c`'s rows.
-    pub(crate) fn color_range(&self, c: usize) -> std::ops::Range<usize> {
-        self.color_ptr[c]..self.color_ptr[c + 1]
-    }
-
-    /// Non-zeros stored at positions `range`.
-    pub(crate) fn nnz_in(&self, range: std::ops::Range<usize>) -> usize {
-        let row_ptr = self.csr.row_ptr();
-        row_ptr[range.end] - row_ptr[range.start]
-    }
-
-    /// Column indices and values of natural row `r` — the same slices
-    /// [`CsrMatrix::row_parts`] gave before the reordering.
-    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        self.csr.row_parts(self.pos[r])
-    }
-
-    /// One symmetric multi-colour Gauss–Seidel sweep, forward over the
-    /// colours then backward; bit-identical to [`mc_symgs_sweep`] on the
-    /// matrix and colouring this was built from. `b` and `x` are in
-    /// natural row order.
-    pub fn sweep(&self, b: &[f64], x: &mut [f64]) -> Work {
-        assert_eq!(b.len(), self.rows());
-        assert_eq!(x.len(), self.rows());
-        let xs = SharedSlice::new(x);
-        let k = self.num_colors();
-        for c in (0..k).chain((0..k).rev()) {
-            // SAFETY: lengths checked above; this thread is the only one
-            // touching `x`.
-            unsafe { self.relax(self.color_range(c), b, &xs) };
-        }
-        self.sweep_work()
-    }
-
-    /// Work of one [`ColoredCsr::sweep`]; equal to the naive sweep's on the
-    /// original matrix.
-    pub(crate) fn sweep_work(&self) -> Work {
-        mc_symgs_work(self.nnz(), self.rows())
-    }
-
-    /// Relax the rows stored at positions `range`, in order. This one code
-    /// path serves both [`ColoredCsr::sweep`] and the pooled
-    /// `Team::mc_symgs_sweep`, so their results are bit-identical by
-    /// construction. The diagonal is captured while the off-diagonal terms
-    /// accumulate (rows hold unique columns), in the naive sweep's order,
-    /// and the division is kept so the result matches it bit for bit.
-    ///
-    /// # Safety
-    /// `b` and `x` must hold [`ColoredCsr::rows`] elements, `range` must
-    /// lie inside one colour, and while this runs no other thread may
-    /// touch `x` at the rows of `range` or write `x` at any row of another
-    /// colour. [`ColoredCsr::new`] guarantees a row reads only its own and
-    /// other colours' entries of `x`, and that every column is below
-    /// `rows()`.
-    pub(crate) unsafe fn relax(
-        &self,
-        range: std::ops::Range<usize>,
-        b: &[f64],
-        x: &SharedSlice<f64>,
-    ) {
-        for k in range {
-            let r = self.row_id[k];
-            let (cols, vals) = self.csr.row_parts(k);
-            let mut acc = b[r];
-            let mut d = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                let c = c as usize;
-                if c == r {
-                    d = v;
-                } else {
-                    acc -= v * x.get(c);
-                }
-            }
-            if d != 0.0 {
-                x.set(r, acc / d);
-            }
-        }
-    }
-}
-
 /// Work of one symmetric multi-colour sweep over a matrix with `nnz`
 /// non-zeros and `n` rows (shared by every sweep above, which all perform
 /// the identical arithmetic).
-fn mc_symgs_work(nnz: usize, n: usize) -> Work {
+pub(crate) fn mc_symgs_work(nnz: usize, n: usize) -> Work {
     let (nnz, n) = (nnz as u64, n as u64);
     Work::new(
         4 * nnz + 2 * n,
@@ -555,112 +370,6 @@ mod tests {
                 v.to_bits(),
                 "order inside a colour must not matter"
             );
-        }
-    }
-
-    #[test]
-    fn colored_csr_keeps_every_row() {
-        let a = structural3d(2, 3, 2);
-        let coloring = Coloring::greedy(&a);
-        let colored = ColoredCsr::new(a.clone(), &coloring);
-        assert_eq!(colored.rows(), a.rows());
-        assert_eq!(colored.nnz(), a.nnz());
-        assert_eq!(colored.num_colors(), coloring.num_colors as usize);
-        for r in 0..a.rows() {
-            assert_eq!(colored.row(r), a.row_parts(r), "row {r}");
-        }
-        for (c, g) in coloring.groups().iter().enumerate() {
-            let range = colored.color_range(c);
-            let stored: Vec<usize> = range.map(|k| colored.row_id[k]).collect();
-            assert_eq!(&stored, g, "colour {c} in ascending row order");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid colouring")]
-    fn colored_csr_rejects_a_coupled_colour() {
-        let a = poisson7(3, 1, 1);
-        let one_colour = Coloring {
-            color: vec![0; 3],
-            num_colors: 1,
-        };
-        let _ = ColoredCsr::new(a, &one_colour);
-    }
-
-    #[test]
-    fn sell_from_colored_rows_equals_sell_from_csr() {
-        use crate::ell::SellMatrix;
-        for (a, coloring) in [
-            (stencil27(7, 5, 3), Coloring::stencil8(7, 5, 3)),
-            (
-                structural3d(3, 2, 2),
-                Coloring::greedy(&structural3d(3, 2, 2)),
-            ),
-        ] {
-            let colored = ColoredCsr::new(a.clone(), &coloring);
-            for (c, sigma) in [(1usize, 1usize), (4, 8), (8, 32)] {
-                let want = SellMatrix::from_csr(&a, c, sigma);
-                let got = SellMatrix::from_rows(a.rows(), a.cols(), |r| colored.row(r), c, sigma);
-                assert_eq!(want, got, "c={c} sigma={sigma}");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::gen::{poisson7, stencil27, structural3d};
-    use proptest::prelude::*;
-
-    fn assert_sweeps_bit_identical(a: CsrMatrix, coloring: &Coloring, seed: u64) {
-        let n = a.rows();
-        let mix = |i: usize, k: u64| {
-            let h = (i as u64 ^ seed.wrapping_mul(k)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            (h >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
-        };
-        let b: Vec<f64> = (0..n).map(|i| mix(i, 3)).collect();
-        let mut x_naive: Vec<f64> = (0..n).map(|i| mix(i, 7)).collect();
-        let mut x_colored = x_naive.clone();
-        let mut naive_work = Work::ZERO;
-        for _ in 0..3 {
-            naive_work += mc_symgs_sweep(&a, coloring, &b, &mut x_naive);
-        }
-        let colored = ColoredCsr::new(a, coloring);
-        let mut colored_work = Work::ZERO;
-        for _ in 0..3 {
-            colored_work += colored.sweep(&b, &mut x_colored);
-        }
-        assert_eq!(naive_work, colored_work);
-        for (i, (u, v)) in x_naive.iter().zip(&x_colored).enumerate() {
-            assert_eq!(u.to_bits(), v.to_bits(), "row {i}");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn colored_sweep_matches_naive_on_stencil8(
-            nx in 1usize..=9, ny in 1usize..=9, nz in 1usize..=9,
-            seed in 0u64..1 << 32,
-        ) {
-            let coloring = Coloring::stencil8(nx, ny, nz);
-            assert_sweeps_bit_identical(stencil27(nx, ny, nz), &coloring, seed);
-        }
-
-        #[test]
-        fn colored_sweep_matches_naive_on_greedy_colourings(
-            nx in 1usize..=5, ny in 1usize..=5, nz in 1usize..=5,
-            structural in 0usize..2,
-            seed in 0u64..1 << 32,
-        ) {
-            let a = if structural == 1 {
-                structural3d(nx.min(3), ny.min(3), nz.min(3))
-            } else {
-                poisson7(nx, ny, nz)
-            };
-            let coloring = Coloring::greedy(&a);
-            assert_sweeps_bit_identical(a, &coloring, seed);
         }
     }
 }

@@ -94,23 +94,6 @@ impl CsrMatrix {
         CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values)
     }
 
-    /// Take the matrix apart into `(rows, cols, row_ptr, col_idx, values)`
-    /// so a reordering can reuse its arrays one at a time.
-    pub(crate) fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<f64>) {
-        (
-            self.rows,
-            self.cols,
-            self.row_ptr,
-            self.col_idx,
-            self.values,
-        )
-    }
-
-    /// Row pointers: row `r` holds entries `row_ptr[r]..row_ptr[r + 1]`.
-    pub(crate) fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -2,8 +2,9 @@
 //!
 //! * [`stencil27`] — the HPCG operator: a 27-point stencil on an
 //!   nx×ny×nz grid, diagonal 26, off-diagonals −1 (symmetric positive
-//!   definite). The paper runs HPCG with a local grid of 80×80×80 per
-//!   process (`--nx=80 --ny=80 --nz=80`).
+//!   definite), generated row by row by [`stencil27_row`]. The paper runs
+//!   HPCG with a local grid of 80×80×80 per process
+//!   (`--nx=80 --ny=80 --nz=80`).
 //! * [`poisson7`] — a 7-point Laplacian, used as a lighter test operator.
 //! * [`structural3d`] — a synthetic substitute for minikab's proprietary
 //!   `Benchmark1` structural matrix: nodes on a 3-D grid, 3 degrees of
@@ -23,45 +24,60 @@ pub const BENCHMARK1_NNZ: u64 = 696_096_138;
 
 /// HPCG's 27-point stencil operator on an `nx × ny × nz` grid: row diagonal
 /// 26.0, all existing neighbours −1.0. SPD and weakly diagonally dominant,
-/// exactly as the reference HPCG `GenerateProblem`.
+/// exactly as the reference HPCG `GenerateProblem`. Built row by row from
+/// [`stencil27_row`].
 pub fn stencil27(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     assert!(nx > 0 && ny > 0 && nz > 0);
     let n = nx * ny * nz;
-    let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
     let mut row_ptr = Vec::with_capacity(n + 1);
     let mut col_idx: Vec<u32> = Vec::with_capacity(n * 27);
     let mut values: Vec<f64> = Vec::with_capacity(n * 27);
     row_ptr.push(0);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let me = idx(x, y, z);
-                for dz in -1i64..=1 {
-                    let zz = z as i64 + dz;
-                    if zz < 0 || zz >= nz as i64 {
-                        continue;
-                    }
-                    for dy in -1i64..=1 {
-                        let yy = y as i64 + dy;
-                        if yy < 0 || yy >= ny as i64 {
-                            continue;
-                        }
-                        for dx in -1i64..=1 {
-                            let xx = x as i64 + dx;
-                            if xx < 0 || xx >= nx as i64 {
-                                continue;
-                            }
-                            let j = idx(xx as usize, yy as usize, zz as usize);
-                            col_idx.push(j as u32);
-                            values.push(if j == me { 26.0 } else { -1.0 });
-                        }
-                    }
+    for r in 0..n {
+        stencil27_row(nx, ny, nz, r, &mut col_idx, &mut values);
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
+}
+
+/// Append row `r` of [`stencil27`]`(nx, ny, nz)` to `cols` and `vals`: the
+/// columns of the point and its existing neighbours in increasing order,
+/// 26.0 on the diagonal and −1.0 elsewhere. The one generator of the HPCG
+/// operator, so a matrix built straight from it (such as
+/// [`crate::ell::SellMatrix::from_colored_rows`]) holds exactly the CSR's
+/// rows.
+pub fn stencil27_row(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    r: usize,
+    cols: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+) {
+    debug_assert!(r < nx * ny * nz, "row {r} outside the grid");
+    let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+    let (x, y, z) = (r % nx, (r / nx) % ny, r / (nx * ny));
+    for dz in -1i64..=1 {
+        let zz = z as i64 + dz;
+        if zz < 0 || zz >= nz as i64 {
+            continue;
+        }
+        for dy in -1i64..=1 {
+            let yy = y as i64 + dy;
+            if yy < 0 || yy >= ny as i64 {
+                continue;
+            }
+            for dx in -1i64..=1 {
+                let xx = x as i64 + dx;
+                if xx < 0 || xx >= nx as i64 {
+                    continue;
                 }
-                row_ptr.push(col_idx.len());
+                let j = idx(xx as usize, yy as usize, zz as usize);
+                cols.push(j as u32);
+                vals.push(if j == r { 26.0 } else { -1.0 });
             }
         }
     }
-    CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
 }
 
 /// A 7-point Laplacian (diagonal 6, face neighbours −1) on an

@@ -9,10 +9,12 @@
 //!   minikab's proprietary `Benchmark1` (9,573,984 DoF / 696,096,138 nnz at
 //!   full scale), and simple Poisson operators for tests.
 //! * [`symgs`] — symmetric Gauss–Seidel sweeps (HPCG's smoother).
-//! * [`ell`] — SELL-C-σ / ELLPACK storage with vector-friendly SpMV, and
-//! * [`coloring`] — multi-colour Gauss–Seidel over an operator stored
-//!   colour by colour: together, the actual kernel rewrites behind the
-//!   paper's vendor-optimised HPCG variants.
+//! * [`ell`] — SELL-C-σ / ELLPACK storage with vector-friendly SpMV, which
+//!   can also store the rows colour by colour and run the multicolour
+//!   sweep on the same copy, and
+//! * [`coloring`] — colourings and the reference multi-colour
+//!   Gauss–Seidel: together, the actual kernel rewrites behind the paper's
+//!   vendor-optimised HPCG variants.
 //! * [`cg`] — conjugate gradient and preconditioned CG with work accounting
 //!   and per-iteration callbacks.
 //! * [`mg`] — the HPCG-style geometric multigrid V-cycle preconditioner

@@ -17,7 +17,6 @@
 //! CG iteration each.
 
 use crate::cg::residual_sub_work;
-use crate::coloring::ColoredCsr;
 use crate::csr::CsrMatrix;
 use crate::ell::SellMatrix;
 use crate::partition::RowPartition;
@@ -332,45 +331,48 @@ impl Team {
         Work::new(2 * n, 16 * n, 8 * n)
     }
 
-    /// Parallel multicolour symmetric Gauss–Seidel sweep over colour-ordered
-    /// storage: each colour is one contiguous range of rows, and its rows
-    /// are mutually independent, so one colour is one pool dispatch over a
-    /// block partition of that range. The forward-then-backward colour
-    /// order of [`ColoredCsr::sweep`] is kept, and every lane runs its
-    /// per-row kernel, so the result is bit-identical to it — and to the
-    /// naive [`crate::coloring::mc_symgs_sweep`] — at any thread count (row
+    /// Parallel multicolour symmetric Gauss–Seidel sweep over a
+    /// colour-grouped [`SellMatrix`] (built by
+    /// [`SellMatrix::from_colored_rows`]): each colour is one contiguous
+    /// run of slices whose rows are mutually independent, so one colour is
+    /// one pool dispatch over a block partition of its slices. The
+    /// forward-then-backward colour order of [`SellMatrix::mc_symgs_sweep`]
+    /// is kept, and every lane runs its slice kernel, so the result is
+    /// bit-identical to it — and to the naive
+    /// [`crate::coloring::mc_symgs_sweep`] — at any thread count (row
     /// results depend only on rows of *other* colours, which no lane is
-    /// writing). A colour whose non-zeros fall below the serial cutover is
-    /// relaxed inline.
-    pub fn mc_symgs_sweep(&self, a: &ColoredCsr, b: &[f64], x: &mut [f64]) -> Work {
+    /// writing). A colour with fewer slices than lanes, or whose stored
+    /// entries fall below the serial cutover, is relaxed inline.
+    pub fn mc_symgs_sweep(&self, a: &SellMatrix, b: &[f64], x: &mut [f64]) -> Work {
         if self.threads() == 1 {
-            return a.sweep(b, x);
+            return a.mc_symgs_sweep(b, x);
         }
-        assert_eq!(b.len(), a.rows());
-        assert_eq!(x.len(), a.rows());
-        let t = self.threads();
+        assert_eq!(b.len(), a.rows(), "mc_symgs_sweep: b length mismatch");
+        assert_eq!(x.len(), a.rows(), "mc_symgs_sweep: x length mismatch");
         let xs = SharedSlice::new(x);
-        let relax_color = |c: usize| {
-            let range = a.color_range(c);
-            if range.len() < 2 * t || self.serial(a.nnz_in(range.clone())) {
-                // SAFETY: lengths checked above; only this thread runs.
-                unsafe { a.relax(range, b, &xs) };
+        let relax_color = |color: usize| {
+            let slices = a.slices_of(color);
+            if slices.len() < self.threads() || self.serial(a.stored_in(slices.clone())) {
+                // SAFETY: lengths checked above; only this thread runs, and
+                // the slices are one colour's.
+                unsafe { a.relax_slices(slices.start, slices.end, b, &xs) };
             } else {
-                let part = self.partition(range.len());
+                let part = self.partition(slices.len());
                 self.pool.run(|lane| {
                     let (lo, hi) = part.range(lane);
-                    // SAFETY: lanes relax disjoint rows of one colour;
-                    // `ColoredCsr::new` guarantees those rows read only
-                    // rows of other colours, which nothing writes now.
-                    unsafe { a.relax(range.start + lo..range.start + hi, b, &xs) };
+                    // SAFETY: lanes relax disjoint slices of one colour;
+                    // `SellMatrix::from_colored_rows` guarantees those rows
+                    // read only rows of other colours, which nothing writes
+                    // now.
+                    unsafe { a.relax_slices(slices.start + lo, slices.start + hi, b, &xs) };
                 });
             }
         };
-        let k = a.num_colors();
-        for c in (0..k).chain((0..k).rev()) {
-            relax_color(c);
+        let k = a.sweep_colors();
+        for color in (0..k).chain((0..k).rev()) {
+            relax_color(color);
         }
-        a.sweep_work()
+        a.mc_symgs_work()
     }
 
     /// Slice-parallel SELL-C-σ SpMV: slices (groups of C rows) are
@@ -470,7 +472,7 @@ impl Team {
 mod tests {
     use super::*;
     use crate::coloring::{mc_symgs_sweep, Coloring};
-    use crate::gen::{poisson7, stencil27, structural3d};
+    use crate::gen::{poisson7, stencil27, stencil27_row, structural3d};
 
     /// A team with the serial cutover disabled: these tests exercise the
     /// pool dispatch machinery on fixtures far below the default cutover.
@@ -589,29 +591,34 @@ mod tests {
 
     #[test]
     fn pooled_mc_symgs_is_bit_identical_to_serial() {
-        let a = stencil27(6, 6, 6);
-        let coloring = Coloring::stencil8(6, 6, 6);
+        // 9x9x8 colours hold 100, 80 or 64 rows: 13, 10 or 8 slices of 8
+        // (the 100-row colours end in a short slice), enough to split at
+        // 7 lanes too.
+        let (nx, ny, nz) = (9, 9, 8);
+        let a = stencil27(nx, ny, nz);
+        let coloring = Coloring::stencil8(nx, ny, nz);
         let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.31).cos()).collect();
         let mut x_serial = vec![0.0; a.rows()];
         let mut w_serial = Work::ZERO;
         for _ in 0..3 {
             w_serial += mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
         }
-        let colored = ColoredCsr::new(a, &coloring);
+        let sell = SellMatrix::from_colored_rows(&coloring, 8, 32, |r, cols, vals| {
+            stencil27_row(nx, ny, nz, r, cols, vals)
+        });
         for threads in [1usize, 2, 4, 7] {
             let team = pooled(threads);
-            let mut x_par = vec![0.0; colored.rows()];
+            let mut x_par = vec![0.0; sell.rows()];
             let mut w_par = Work::ZERO;
             let before = team.pool().dispatches();
             for _ in 0..3 {
-                w_par += team.mc_symgs_sweep(&colored, &b, &mut x_par);
+                w_par += team.mc_symgs_sweep(&sell, &b, &mut x_par);
             }
             let dispatched = team.pool().dispatches() - before;
             if threads == 1 {
                 assert_eq!(dispatched, 0, "one lane runs inline");
             } else {
-                // Three sweeps of 8 colours, two passes each; every colour
-                // holds 27 rows, enough to split at 7 lanes too.
+                // Three sweeps of 8 colours, two passes each.
                 assert_eq!(dispatched, 3 * 16, "{threads} threads");
             }
             for (u, v) in x_serial.iter().zip(&x_par) {
@@ -619,6 +626,16 @@ mod tests {
             }
             assert_eq!(w_serial, w_par, "{threads} threads: work models must agree");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "from_colored_rows")]
+    fn pooled_mc_symgs_needs_colour_groups() {
+        let a = stencil27(4, 4, 4);
+        let natural = SellMatrix::from_csr(&a, 8, 8);
+        let b = vec![1.0; a.rows()];
+        let mut x = vec![0.0; a.rows()];
+        pooled(2).mc_symgs_sweep(&natural, &b, &mut x);
     }
 
     #[test]
@@ -809,7 +826,7 @@ mod proptests {
             let b: Vec<f64> = (0..a.rows()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
             let mut x_serial = vec![0.0; a.rows()];
             mc_symgs_sweep(&a, &coloring, &b, &mut x_serial);
-            let colored = ColoredCsr::new(a, &coloring);
+            let colored = SellMatrix::from_colored_csr(&a, &coloring, 8, 32);
             let mut x_par = vec![0.0; colored.rows()];
             pooled(threads).mc_symgs_sweep(&colored, &b, &mut x_par);
             prop_assert_eq!(x_serial, x_par);
